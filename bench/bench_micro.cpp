@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -515,64 +514,18 @@ std::vector<HandoffEntry> handoff_batch() {
   return batch;
 }
 
-/// Shared state for the contended hand-off benches (thread 0 = beggar
-/// draining its inbox, thread 1 = giver publishing batches). Both sides
-/// bound the inbox at the same capacity; a full inbox makes the giver
-/// yield and retry a few times, then drop the batch (the refiner keeps
-/// the batch locally in that case).
-struct MutexInbox {
-  std::mutex m;
-  std::vector<HandoffEntry> inbox;
-};
-MutexInbox& mutex_inbox() {
-  static MutexInbox s;
-  return s;
-}
+/// Shared inbox for the contended hand-off bench (thread 0 = beggar
+/// draining its inbox, thread 1 = giver publishing batches). A full inbox
+/// makes the giver yield and retry a few times, then drop the batch (the
+/// refiner keeps the batch locally in that case).
 MpscRing<HandoffEntry>& mpsc_inbox() {
   static MpscRing<HandoffEntry> s(kHandoffCapacity);
   return s;
 }
 
-void BM_InboxHandoffMutex(benchmark::State& state) {
-  // The pre-overhaul hand-off under real contention: giver locks and
-  // appends the batch while the beggar locks and swaps the vector out.
-  MutexInbox& s = mutex_inbox();
-  if (state.thread_index() == 0) {
-    std::vector<HandoffEntry> drained;
-    std::size_t n = 0;
-    for (auto _ : state) {
-      {
-        std::lock_guard<std::mutex> lk(s.m);
-        drained.clear();
-        drained.swap(s.inbox);
-      }
-      n += drained.size();
-      benchmark::DoNotOptimize(drained.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(n));
-  } else {
-    const auto batch = handoff_batch();
-    for (auto _ : state) {
-      for (int attempt = 0; attempt < 16; ++attempt) {
-        bool pushed = false;
-        {
-          std::lock_guard<std::mutex> lk(s.m);
-          if (s.inbox.size() + batch.size() <= kHandoffCapacity) {
-            s.inbox.insert(s.inbox.end(), batch.begin(), batch.end());
-            pushed = true;
-          }
-        }
-        if (pushed) break;
-        std::this_thread::yield();
-      }
-    }
-  }
-}
-BENCHMARK(BM_InboxHandoffMutex)->Threads(2)->UseRealTime();
-
 void BM_InboxHandoffMpsc(benchmark::State& state) {
-  // The lock-free hand-off under the same contention: one batched CAS
-  // publication by the giver, lock-free drain by the beggar.
+  // The lock-free hand-off under contention: one batched CAS publication
+  // by the giver, lock-free drain by the beggar.
   MpscRing<HandoffEntry>& ring = mpsc_inbox();
   if (state.thread_index() == 0) {
     std::size_t n = 0;
@@ -596,11 +549,10 @@ void BM_InboxHandoffMpsc(benchmark::State& state) {
 BENCHMARK(BM_InboxHandoffMpsc)->Threads(2)->UseRealTime();
 
 /// Poll-to-drain latency of one idle episode, as the begging thread
-/// experiences it: the beggar polls its empty inbox (the seed protocol
-/// locked the inbox mutex on EVERY poll iteration of the idle spin; the
-/// shipped ring polls with a relaxed empty() check), then a batch of 64
-/// arrives and is drained. 64 polls per episode is conservative — a real
-/// idle episode spins hundreds of iterations.
+/// experiences it: the beggar polls its empty inbox (a relaxed empty()
+/// check per idle-spin iteration), then a batch of 64 arrives and is
+/// drained. 64 polls per episode is conservative — a real idle episode
+/// spins hundreds of iterations.
 template <typename PollFn, typename PushFn, typename DrainFn>
 void idle_episode(benchmark::State& state, PollFn&& poll, PushFn&& push,
                   DrainFn&& drain) {
@@ -613,30 +565,6 @@ void idle_episode(benchmark::State& state, PollFn&& poll, PushFn&& push,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kHandoffBatch));
 }
-
-void BM_IdlePollDrainMutex(benchmark::State& state) {
-  const auto batch = handoff_batch();
-  std::mutex inbox_mutex;
-  std::vector<HandoffEntry> inbox;
-  std::vector<HandoffEntry> drained;
-  idle_episode(
-      state,
-      [&] {
-        std::lock_guard<std::mutex> lk(inbox_mutex);
-        return inbox.empty();
-      },
-      [&] {
-        std::lock_guard<std::mutex> lk(inbox_mutex);
-        for (const HandoffEntry& e : batch) inbox.push_back(e);
-      },
-      [&] {
-        std::lock_guard<std::mutex> lk(inbox_mutex);
-        drained.clear();
-        drained.swap(inbox);
-        return drained.size();
-      });
-}
-BENCHMARK(BM_IdlePollDrainMutex);
 
 void BM_IdlePollDrainMpsc(benchmark::State& state) {
   const auto batch = handoff_batch();
@@ -657,48 +585,10 @@ BENCHMARK(BM_IdlePollDrainMpsc);
 /// realistic beggar occupancy (7 of 8 threads begging): giver pops the
 /// most local beggar and publishes a batch of 64 into its inbox; the
 /// beggar polls its inbox, drains it, cancels its begging registration and
-/// re-enqueues. The mutex variant replicates the seed protocol exactly
-/// (per-element push_back under the lock, empty-poll under the lock,
-/// O(n) deque-scan cancel); the lock-free variant is the shipped one.
-void BM_HandoffCycleMutex(benchmark::State& state) {
-  const Topology topo(8, {2, 2});
-  const auto lb = make_load_balancer(LbKind::HWS, topo, SchedulerImpl::Mutex);
-  for (int tid = 1; tid < 8; ++tid) lb->enqueue_beggar(tid);
-  const auto batch = handoff_batch();
-  std::mutex inbox_mutex;
-  std::vector<HandoffEntry> inbox;
-  std::vector<HandoffEntry> drained;
-  StealLevel level;
-  for (auto _ : state) {
-    const int beggar = lb->pop_beggar(0, &level);
-    {
-      std::lock_guard<std::mutex> lk(inbox_mutex);
-      for (const HandoffEntry& e : batch) inbox.push_back(e);
-    }
-    bool has_work = false;
-    {
-      std::lock_guard<std::mutex> lk(inbox_mutex);
-      has_work = !inbox.empty();
-    }
-    benchmark::DoNotOptimize(has_work);
-    {
-      std::lock_guard<std::mutex> lk(inbox_mutex);
-      drained.clear();
-      drained.swap(inbox);
-    }
-    benchmark::DoNotOptimize(drained.data());
-    lb->cancel(beggar);
-    lb->enqueue_beggar(beggar);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kHandoffBatch));
-}
-BENCHMARK(BM_HandoffCycleMutex);
-
+/// re-enqueues.
 void BM_HandoffCycleLockfree(benchmark::State& state) {
   const Topology topo(8, {2, 2});
-  const auto lb =
-      make_load_balancer(LbKind::HWS, topo, SchedulerImpl::LockFree);
+  const auto lb = make_load_balancer(LbKind::HWS, topo);
   for (int tid = 1; tid < 8; ++tid) lb->enqueue_beggar(tid);
   const auto batch = handoff_batch();
   MpscRing<HandoffEntry> ring(kHandoffCapacity);
@@ -720,13 +610,13 @@ void BM_HandoffCycleLockfree(benchmark::State& state) {
 }
 BENCHMARK(BM_HandoffCycleLockfree);
 
-void beggar_churn(benchmark::State& state, SchedulerImpl impl) {
+void BM_BeggarChurnLockfree(benchmark::State& state) {
   // Single-thread churn through the HWS begging lists: the enqueue /
   // pop / cancel cycle every idle episode pays. The virtual Blacklight
   // topology (8 threads, 2 cores/socket, 2 sockets/blade) exercises all
   // three levels.
   const Topology topo(8, {2, 2});
-  const auto lb = make_load_balancer(LbKind::HWS, topo, impl);
+  const auto lb = make_load_balancer(LbKind::HWS, topo);
   StealLevel level;
   for (auto _ : state) {
     for (int tid = 1; tid < 8; ++tid) lb->enqueue_beggar(tid);
@@ -735,15 +625,6 @@ void beggar_churn(benchmark::State& state, SchedulerImpl impl) {
     benchmark::DoNotOptimize(lb->any_beggar());
   }
   state.SetItemsProcessed(state.iterations() * 7);
-}
-
-void BM_BeggarChurnMutex(benchmark::State& state) {
-  beggar_churn(state, SchedulerImpl::Mutex);
-}
-BENCHMARK(BM_BeggarChurnMutex);
-
-void BM_BeggarChurnLockfree(benchmark::State& state) {
-  beggar_churn(state, SchedulerImpl::LockFree);
 }
 BENCHMARK(BM_BeggarChurnLockfree);
 

@@ -75,17 +75,11 @@ struct MeshingOptions {
   std::size_t max_cells = std::size_t{1} << 24;
   double watchdog_sec = 30.0;
 
-  /// A/B switches for the classification hot path (defaults = fast path):
-  /// the generation-tagged geometry cache and the voxel-DDA oracle walks.
-  bool use_geom_cache = true;
-  bool use_reference_walks = false;
-
   /// Scheduler & memory-locality knobs (see RefinerOptions for semantics):
   /// pin workers to cpus, probe the host topology instead of the declared
-  /// spec, fall back to the mutex scheduler, spin budget before parking.
+  /// spec, spin budget before parking.
   bool pin = false;
   bool topology_auto = false;
-  bool mutex_scheduler = false;
   int park_spin_us = 50;
 
   /// Serving hooks (see RefinerOptions for semantics): cooperative

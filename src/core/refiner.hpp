@@ -67,13 +67,6 @@ struct RefinerOptions {
   /// 0 = nondeterministic (std::random_device); non-zero makes the runtime's
   /// random choices reproducible for fuzzing and failure replay.
   std::uint64_t rng_seed = 0;
-  /// Serve classification geometry from the generation-tagged per-cell
-  /// cache (delaunay/geom_cache.hpp). Off = recompute everything per
-  /// classify (A/B baseline; results are identical either way).
-  bool use_geom_cache = true;
-  /// Use the reference scalar sampling walks instead of the voxel-DDA
-  /// walks in the oracle (A/B baseline; see IsosurfaceOracle::set_use_dda).
-  bool use_reference_walks = false;
   /// Run a full invariant audit (check/auditor.hpp) on the final mesh after
   /// the workers join — the refinement-phase boundary, where the mesh is
   /// quiescent. Violations land in RefineOutcome::audit_errors.
@@ -87,10 +80,6 @@ struct RefinerOptions {
   /// Probe /sys/devices/system/cpu for the real socket layout instead of
   /// using the declared `topology` spec; also yields the cpu map --pin uses.
   bool topology_auto = false;
-  /// Select the mutex+deque begging lists and mutex inbox era semantics
-  /// (SchedulerImpl::Mutex) instead of the lock-free slot arrays — the
-  /// escape hatch and the A/B baseline for BENCH_scheduler.json.
-  bool mutex_scheduler = false;
   /// An idle thread spins/yields this long before each timed park. 0 parks
   /// immediately; larger values trade wake-up latency for cpu.
   int park_spin_us = 50;
@@ -120,8 +109,9 @@ struct RefineOutcome {
   std::size_t mesh_cells = 0;   ///< elements with circumcenter inside O
   std::size_t vertices = 0;
   std::array<std::uint64_t, 6> rule_counts{};  ///< successful ops per rule
-  /// Geometry-cache effectiveness over the whole run (zero when the cache
-  /// was disabled): core entry and memoized closest-surface-point lookups.
+  /// Geometry-cache effectiveness over the whole run (the per-cell cache,
+  /// delaunay/geom_cache.hpp, is always on): core entry and memoized
+  /// closest-surface-point lookups.
   std::uint64_t classify_cache_hits = 0;
   std::uint64_t classify_cache_misses = 0;
   std::uint64_t classify_csp_hits = 0;
@@ -145,9 +135,8 @@ class Refiner {
   /// Serving-path constructor: re-uses a precomputed oracle (EDT cache hit)
   /// instead of computing the feature transform. `warm_oracle` must have
   /// been built over an image identical in content to `img` (it is queried,
-  /// never mutated, so one oracle may serve concurrent refiners) and its
-  /// DDA/reference walk mode is taken as-is — opt.use_reference_walks is
-  /// ignored. RefineOutcome::edt_sec reports 0 for such runs.
+  /// never mutated, so one oracle may serve concurrent refiners).
+  /// RefineOutcome::edt_sec reports 0 for such runs.
   Refiner(const LabeledImage3D& img, RefinerOptions opt,
           std::shared_ptr<const IsosurfaceOracle> warm_oracle);
 
@@ -224,7 +213,7 @@ class Refiner {
   /// to many concurrent refiners; solo runs own theirs exclusively.
   std::shared_ptr<const IsosurfaceOracle> oracle_;
   std::unique_ptr<DelaunayMesh> mesh_;
-  std::unique_ptr<CellGeomCache> geom_cache_;  ///< null when disabled
+  std::unique_ptr<CellGeomCache> geom_cache_;
   std::unique_ptr<SpatialHashGrid> iso_grid_;
   std::unique_ptr<SpatialHashGrid> cc_grid_;
   std::unique_ptr<lattice::LatticeFill> lattice_;  ///< null = pure Delaunay

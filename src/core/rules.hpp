@@ -65,8 +65,10 @@ struct Classification {
 /// / published to the generation-tagged side arena, so pops, retries, and
 /// the R3 neighbour scan stop recomputing identical quantities. The parts
 /// that read mutable state (`iso_grid.any_within`) are always evaluated
-/// fresh, so caching never changes the classification result. `tid` only
-/// picks a padded hit/miss counter slot.
+/// fresh, so caching never changes the classification result. The refiner
+/// always passes its cache; a null `cache` is the cache-free reference the
+/// parity tests and micro-benchmarks compare against. `tid` only picks a
+/// padded hit/miss counter slot.
 Classification classify_cell(const DelaunayMesh& mesh, CellId c,
                              const IsosurfaceOracle& oracle,
                              const SpatialHashGrid& iso_grid,

@@ -166,77 +166,73 @@ std::optional<Vec3> IsosurfaceOracle::closest_surface_point(
   const double overshoot = 2.0 * img_->min_spacing();
   if (len <= 1e-12) return refine_around_voxel(q);
 
-  if (use_dda_) {
-    // Candidate 1: exact projection of p onto the interface faces of the
-    // surface voxel's ownership box (the faces shared with a neighbour of
-    // differing label — ∂O locally IS those faces on the dual grid). This
-    // dominates the reference walk's refine_around_voxel fallback, which
-    // bisects to the *center* of one such face.
-    double best2 = 1e300;
-    Vec3 best{};
-    bool have_face = false;
-    {
-      const LabeledImage3D& img = *img_;
-      const Vec3 sp = img.spacing();
-      const int n[3] = {img.nx(), img.ny(), img.nz()};
-      const int fc[3] = {f.x, f.y, f.z};
-      const double qv[3] = {q.x, q.y, q.z};
-      const double pv[3] = {p.x, p.y, p.z};
-      const double spv[3] = {sp.x, sp.y, sp.z};
-      const Label* data = img.raw().data();
-      const std::ptrdiff_t stride[3] = {
-          1, n[0], static_cast<std::ptrdiff_t>(n[0]) * n[1]};
-      const std::ptrdiff_t fidx =
-          fc[2] * stride[2] + fc[1] * stride[1] + fc[0];
-      const Label lq = data[fidx];
-      // The box-clamped coordinates are shared by every candidate whose
-      // face is on another axis: hoist them (and their squared offsets)
-      // once, then evaluate all six face candidates as a flat
-      // distance/comparison sweep — only the label gate stays per
-      // candidate. Per-candidate term order matches the historical
-      // accumulation loop, so the selected candidate is unchanged.
-      double cl[3], e2[3];
-      for (int oax = 0; oax < 3; ++oax) {
-        cl[oax] = std::clamp(pv[oax], qv[oax] - 0.5 * spv[oax],
-                             qv[oax] + 0.5 * spv[oax]);
-        const double dd = cl[oax] - pv[oax];
-        e2[oax] = dd * dd;
-      }
-      for (int cand6 = 0; cand6 < 6; ++cand6) {
-        const int ax = cand6 >> 1;
-        const int s = (cand6 & 1) ? 1 : -1;
-        const int nc = fc[ax] + s;
-        const Label ln = (nc < 0 || nc >= n[ax])
-                             ? Label{0}  // outside the slab: background
-                             : data[fidx + s * stride[ax]];
-        if (ln == lq) continue;
-        const double face = qv[ax] + 0.5 * s * spv[ax];  // the face plane
-        const double fd = face - pv[ax];
-        const double fterm = fd * fd;
-        const double d2 = (ax == 0 ? fterm : e2[0]) +
-                          (ax == 1 ? fterm : e2[1]) +
-                          (ax == 2 ? fterm : e2[2]);
-        if (d2 < best2) {
-          best2 = d2;
-          best = {ax == 0 ? face : cl[0], ax == 1 ? face : cl[1],
-                  ax == 2 ? face : cl[2]};
-          have_face = true;
-        }
+  // Candidate 1: exact projection of p onto the interface faces of the
+  // surface voxel's ownership box (the faces shared with a neighbour of
+  // differing label — ∂O locally IS those faces on the dual grid). This
+  // dominates the reference walk's refine_around_voxel fallback, which
+  // bisects to the *center* of one such face.
+  double best2 = 1e300;
+  Vec3 best{};
+  bool have_face = false;
+  {
+    const LabeledImage3D& img = *img_;
+    const Vec3 sp = img.spacing();
+    const int n[3] = {img.nx(), img.ny(), img.nz()};
+    const int fc[3] = {f.x, f.y, f.z};
+    const double qv[3] = {q.x, q.y, q.z};
+    const double pv[3] = {p.x, p.y, p.z};
+    const double spv[3] = {sp.x, sp.y, sp.z};
+    const Label* data = img.raw().data();
+    const std::ptrdiff_t stride[3] = {
+        1, n[0], static_cast<std::ptrdiff_t>(n[0]) * n[1]};
+    const std::ptrdiff_t fidx = fc[2] * stride[2] + fc[1] * stride[1] + fc[0];
+    const Label lq = data[fidx];
+    // The box-clamped coordinates are shared by every candidate whose
+    // face is on another axis: hoist them (and their squared offsets)
+    // once, then evaluate all six face candidates as a flat
+    // distance/comparison sweep — only the label gate stays per
+    // candidate. Per-candidate term order matches the historical
+    // accumulation loop, so the selected candidate is unchanged.
+    double cl[3], e2[3];
+    for (int oax = 0; oax < 3; ++oax) {
+      cl[oax] = std::clamp(pv[oax], qv[oax] - 0.5 * spv[oax],
+                           qv[oax] + 0.5 * spv[oax]);
+      const double dd = cl[oax] - pv[oax];
+      e2[oax] = dd * dd;
+    }
+    for (int cand6 = 0; cand6 < 6; ++cand6) {
+      const int ax = cand6 >> 1;
+      const int s = (cand6 & 1) ? 1 : -1;
+      const int nc = fc[ax] + s;
+      const Label ln = (nc < 0 || nc >= n[ax])
+                           ? Label{0}  // outside the slab: background
+                           : data[fidx + s * stride[ax]];
+      if (ln == lq) continue;
+      const double face = qv[ax] + 0.5 * s * spv[ax];  // the face plane
+      const double fd = face - pv[ax];
+      const double fterm = fd * fd;
+      const double d2 = (ax == 0 ? fterm : e2[0]) +
+                        (ax == 1 ? fterm : e2[1]) +
+                        (ax == 2 ? fterm : e2[2]);
+      if (d2 < best2) {
+        best2 = d2;
+        best = {ax == 0 ? face : cl[0], ax == 1 ? face : cl[1],
+                ax == 2 ? face : cl[2]};
+        have_face = true;
       }
     }
-    // Candidate 2: the first ∂O crossing of the ray toward (and past) q —
-    // in thin-sliver geometry it can undercut every face of q's box.
-    const Vec3 end = p + ((len + overshoot) / len) * d;
-    if (auto hit = first_transition_dda(p, end)) {
-      if (!have_face || distance2(p, *hit) < best2) return hit;
-    }
-    if (have_face) return best;
-    // Isolated surface voxel with no differing axis neighbour and no ray
-    // transition: its center is the best available estimate (matches
-    // refine_around_voxel's fallback).
-    return q;
   }
-  return closest_surface_point_reference(p);
+  // Candidate 2: the first ∂O crossing of the ray toward (and past) q —
+  // in thin-sliver geometry it can undercut every face of q's box.
+  const Vec3 end = p + ((len + overshoot) / len) * d;
+  if (auto hit = first_transition_dda(p, end)) {
+    if (!have_face || distance2(p, *hit) < best2) return hit;
+  }
+  if (have_face) return best;
+  // Isolated surface voxel with no differing axis neighbour and no ray
+  // transition: its center is the best available estimate (matches
+  // refine_around_voxel's fallback).
+  return q;
 }
 
 std::optional<Vec3> IsosurfaceOracle::closest_surface_point_reference(
@@ -274,8 +270,7 @@ std::optional<Vec3> IsosurfaceOracle::closest_surface_point_reference(
 
 std::optional<Vec3> IsosurfaceOracle::segment_surface_intersection(
     const Vec3& a, const Vec3& b) const {
-  if (use_dda_) return first_transition_dda(a, b);
-  return segment_surface_intersection_reference(a, b);
+  return first_transition_dda(a, b);
 }
 
 std::optional<Vec3> IsosurfaceOracle::segment_surface_intersection_reference(

@@ -165,7 +165,7 @@ const JobArtifacts& MeshJob::run() {
   opt.cancel = cancel_;
   std::shared_ptr<const IsosurfaceOracle> warm;
   std::shared_ptr<const IsosurfaceOracle> own_oracle;
-  if (edt_cache_ != nullptr && !opt.use_reference_walks) {
+  if (edt_cache_ != nullptr) {
     // The cache owns a stable image copy; mesh against *that* copy so the
     // pinned oracle and the refined image are the same object.
     pinned_ = edt_cache_->acquire(*art_.image_view, std::max(1, opt.threads),
@@ -296,8 +296,6 @@ telemetry::RunManifest MeshJob::build_manifest(const std::string& tool) const {
   man.set_config("threads", spec_.mesh.threads);
   man.set_config("cm", cm_name(spec_.mesh.contention_manager));
   man.set_config("lb", lb_name(spec_.mesh.load_balancer));
-  man.set_config("scheduler",
-                 spec_.mesh.mutex_scheduler ? "mutex" : "lockfree");
   if (!spec_.topology_desc.empty()) {
     man.set_config("topology", spec_.topology_desc);
   }

@@ -1,8 +1,6 @@
 #include "runtime/workstealing.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <mutex>
 #include <thread>
 
 #include "support/common.hpp"
@@ -188,141 +186,6 @@ class HwsLockFreeBalancer final : public LoadBalancer {
   std::atomic<int> count_{0};
 };
 
-// ---------------------------------------------------------------------------
-// Mutex balancers (escape hatch: SchedulerImpl::Mutex / --mutex-scheduler)
-// ---------------------------------------------------------------------------
-
-void erase_value(std::deque<int>& q, int v) {
-  q.erase(std::remove(q.begin(), q.end(), v), q.end());
-}
-
-class RwsMutexBalancer final : public LoadBalancer {
- public:
-  explicit RwsMutexBalancer(const Topology& topo) : LoadBalancer(topo) {}
-
-  void enqueue_beggar(int tid) override {
-    telemetry::instant("lb.beg", "lb");
-    mark_begging(tid);
-    std::lock_guard<std::mutex> lk(mutex_);
-    list_.push_back(tid);
-    count_.fetch_add(1, std::memory_order_release);
-  }
-
-  int pop_beggar(int giver, StealLevel* level) override {
-    if (count_.load(std::memory_order_acquire) == 0) return -1;
-    int beggar = -1;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (!list_.empty()) {
-        beggar = list_.front();
-        list_.pop_front();
-        count_.fetch_sub(1, std::memory_order_release);
-      }
-    }
-    if (beggar >= 0 && level != nullptr) *level = classify(giver, beggar);
-    return beggar;
-  }
-
-  void cancel(int tid) override {
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      const auto before = list_.size();
-      erase_value(list_, tid);
-      if (list_.size() != before)
-        count_.fetch_sub(1, std::memory_order_release);
-    }
-    clear_begging(tid);
-  }
-
-  [[nodiscard]] bool any_beggar() const override {
-    return count_.load(std::memory_order_acquire) > 0;
-  }
-
- private:
-  std::mutex mutex_;
-  std::deque<int> list_;
-  std::atomic<int> count_{0};
-};
-
-class HwsMutexBalancer final : public LoadBalancer {
- public:
-  explicit HwsMutexBalancer(const Topology& topo)
-      : LoadBalancer(topo),
-        bl1_(topo.num_sockets()),
-        bl2_(topo.num_blades()) {}
-
-  void enqueue_beggar(int tid) override {
-    telemetry::instant("lb.beg", "lb");
-    mark_begging(tid);
-    const int s = topo_.socket_of(tid);
-    const int b = topo_.blade_of(tid);
-    std::lock_guard<std::mutex> lk(mutex_);
-    // Level selection per paper §6.1: BL1 while the socket has another
-    // non-idle thread, then BL2 while the blade has another non-idle
-    // socket, else BL3 (at most one thread per blade ends up there).
-    if (static_cast<int>(bl1_[s].size()) < topo_.threads_per_socket() - 1) {
-      bl1_[s].push_back(tid);
-    } else if (static_cast<int>(bl2_[b].size()) <
-               topo_.threads_per_blade() / topo_.threads_per_socket() - 1) {
-      bl2_[b].push_back(tid);
-    } else {
-      bl3_.push_back(tid);
-    }
-    count_.fetch_add(1, std::memory_order_release);
-  }
-
-  int pop_beggar(int giver, StealLevel* level) override {
-    if (count_.load(std::memory_order_acquire) == 0) return -1;
-    const int s = topo_.socket_of(giver);
-    const int b = topo_.blade_of(giver);
-    int beggar = -1;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (!bl1_[s].empty()) {
-        beggar = bl1_[s].front();
-        bl1_[s].pop_front();
-      } else if (!bl2_[b].empty()) {
-        beggar = bl2_[b].front();
-        bl2_[b].pop_front();
-      } else if (!bl3_.empty()) {
-        beggar = bl3_.front();
-        bl3_.pop_front();
-      }
-      if (beggar >= 0) count_.fetch_sub(1, std::memory_order_release);
-    }
-    if (beggar >= 0 && level != nullptr) *level = classify(giver, beggar);
-    return beggar;
-  }
-
-  void cancel(int tid) override {
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      std::size_t before = bl3_.size();
-      for (auto& q : bl1_) before += q.size();
-      for (auto& q : bl2_) before += q.size();
-      erase_value(bl1_[topo_.socket_of(tid)], tid);
-      erase_value(bl2_[topo_.blade_of(tid)], tid);
-      erase_value(bl3_, tid);
-      std::size_t after = bl3_.size();
-      for (auto& q : bl1_) after += q.size();
-      for (auto& q : bl2_) after += q.size();
-      if (after != before) count_.fetch_sub(1, std::memory_order_release);
-    }
-    clear_begging(tid);
-  }
-
-  [[nodiscard]] bool any_beggar() const override {
-    return count_.load(std::memory_order_acquire) > 0;
-  }
-
- private:
-  std::mutex mutex_;  // guards all lists; begging is the cold path
-  std::vector<std::deque<int>> bl1_;  // per socket
-  std::vector<std::deque<int>> bl2_;  // per blade
-  std::deque<int> bl3_;               // machine-wide
-  std::atomic<int> count_{0};
-};
-
 }  // namespace
 
 LoadBalancer::LoadBalancer(const Topology& topo)
@@ -340,17 +203,8 @@ const char* to_string(LbKind k) {
   return k == LbKind::RWS ? "RWS" : "HWS";
 }
 
-const char* to_string(SchedulerImpl s) {
-  return s == SchedulerImpl::LockFree ? "lockfree" : "mutex";
-}
-
 std::unique_ptr<LoadBalancer> make_load_balancer(LbKind kind,
-                                                 const Topology& topo,
-                                                 SchedulerImpl impl) {
-  if (impl == SchedulerImpl::Mutex) {
-    if (kind == LbKind::RWS) return std::make_unique<RwsMutexBalancer>(topo);
-    return std::make_unique<HwsMutexBalancer>(topo);
-  }
+                                                 const Topology& topo) {
   if (kind == LbKind::RWS) return std::make_unique<RwsLockFreeBalancer>(topo);
   return std::make_unique<HwsLockFreeBalancer>(topo);
 }

@@ -20,7 +20,8 @@
 //   "downsample", "crop_pad", "delta", "rho", "facet_angle",
 //   "uniform_size", "threads", "cm", "lb", "smooth",
 //   "interior": "lattice|delaunay", "lattice_spacing",
-//   "reference_walks", "report", "validate", "outputs": ["/path/out.vtk"]
+//   "report", "validate", "outputs": ["/path/out.vtk"]
+// Unknown job keys are ignored.
 //
 // Responses always carry "ok". Failures carry a stable machine-readable
 // "code" (kRejectedOverload, kDraining, kNotFound, ...) plus a

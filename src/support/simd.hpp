@@ -66,7 +66,9 @@ inline Level active_level() {
 }
 
 /// Force a dispatch level for this process (clamped to what the build and
-/// hardware support). Used by --no-simd, tests, and fuzz parity runs.
+/// hardware support). Used by the SIMD parity tests and pi2m_fuzz
+/// --simd-compare; the PI2M_SIMD environment variable is the user-facing
+/// switch.
 inline void force_simd_level(Level level) {
 #if !PI2M_SIMD_AVX2
   level = Level::kScalar;

@@ -58,7 +58,6 @@ class SegmentParity : public ::testing::TestWithParam<unsigned> {};
 TEST_P(SegmentParity, RandomSegmentsOnBlobs) {
   const LabeledImage3D img = phantom::random_blobs(24, GetParam(), 3, 2);
   const IsosurfaceOracle oracle(img, 1);
-  ASSERT_TRUE(oracle.uses_dda());
   std::mt19937 rng(GetParam() * 131 + 17);
   std::uniform_real_distribution<double> u(-3.0, 27.0);
   int ref_hits = 0, extra = 0;
@@ -184,23 +183,6 @@ TEST_P(ClosestPointParity, DdaNeverFartherThanReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClosestPointParity,
                          ::testing::Values(1u, 2u, 3u));
-
-TEST(OracleDda, ReferenceWalkSwitch) {
-  const LabeledImage3D img = phantom::ball(16);
-  IsosurfaceOracle oracle(img, 1);
-  EXPECT_TRUE(oracle.uses_dda());
-  oracle.set_use_dda(false);
-  EXPECT_FALSE(oracle.uses_dda());
-  // With DDA off the public entry points serve the reference walk.
-  const Vec3 a{-5, 7.5, 7.5}, b{25, 7.5, 7.5};
-  const auto pub = oracle.segment_surface_intersection(a, b);
-  const auto ref = oracle.segment_surface_intersection_reference(a, b);
-  ASSERT_EQ(pub.has_value(), ref.has_value());
-  ASSERT_TRUE(pub.has_value());
-  EXPECT_EQ(pub->x, ref->x);
-  EXPECT_EQ(pub->y, ref->y);
-  EXPECT_EQ(pub->z, ref->z);
-}
 
 }  // namespace
 }  // namespace pi2m

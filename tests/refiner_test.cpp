@@ -26,6 +26,9 @@ void check_refined(Refiner& refiner, const RefineOutcome& out) {
   ASSERT_TRUE(out.completed) << "livelock=" << out.livelocked
                              << " budget=" << out.budget_exhausted;
   EXPECT_GT(out.mesh_cells, 0u);
+  // The per-cell geometry cache is always on: classification must have
+  // gone through it.
+  EXPECT_GT(out.classify_cache_hits + out.classify_cache_misses, 0u);
 
   DelaunayMesh& mesh = refiner.mesh();
   // Invariants: adjacency + orientation always; the full Delaunay check is
@@ -186,17 +189,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(4, CmKind::Random, LbKind::HWS),
         std::make_tuple(3, CmKind::Aggressive, LbKind::RWS),
         std::make_tuple(8, CmKind::Local, LbKind::HWS)));
-
-TEST(RefinerParallelSched, MutexSchedulerMatchesInvariants) {
-  // The escape hatch (--mutex-scheduler) must pass the exact same
-  // invariants as the default lock-free scheduler.
-  const LabeledImage3D img = phantom::concentric_shells(20);
-  RefinerOptions opt = base_options(2.5, 4);
-  opt.mutex_scheduler = true;
-  Refiner refiner(img, opt);
-  const RefineOutcome out = refiner.refine();
-  check_refined(refiner, out);
-}
 
 TEST(RefinerParallelSched, PinAndAutoTopologySmoke) {
   // --pin + --topology=auto on whatever host runs the tests: pinning is

@@ -447,8 +447,8 @@ TEST(ServeMeshJob, WarmArenaSecondRunIsByteIdentical) {
 
 TEST(ServeMeshJob, WarmEdtCacheMatchesColdRun) {
   EdtCache cache(std::size_t{64} << 20);
-  auto run = [&](bool use_cache) {
-    MeshJob job(small_ball_spec());
+  auto run = [&](JobSpec spec, bool use_cache) {
+    MeshJob job(std::move(spec));
     if (use_cache) job.set_edt_cache(&cache);
     const JobArtifacts& art = job.run();
     EXPECT_TRUE(art.ok) << art.error;
@@ -456,9 +456,19 @@ TEST(ServeMeshJob, WarmEdtCacheMatchesColdRun) {
         art.mesh.num_tets(), art.mesh.num_points(),
         art.mesh.boundary_tris.size(), art.edt_cache_hit);
   };
-  const auto cold = run(false);
-  const auto miss = run(true);
-  const auto hit = run(true);
+  const auto cold = run(small_ball_spec(), false);
+  const auto miss = run(small_ball_spec(), true);
+  // The cache-hit job comes off the wire and carries the retired
+  // "reference_walks" key: unknown keys are ignored, so it must still be
+  // served from the EDT cache with the same mesh.
+  JobSpec wire;
+  std::string err;
+  ASSERT_TRUE(decode_job(
+      json_parse(R"({"phantom":"ball","size":24,"threads":1,)"
+                 R"("reference_walks":true})"),
+      &wire, &err))
+      << err;
+  const auto hit = run(std::move(wire), true);
   EXPECT_FALSE(std::get<3>(cold));
   EXPECT_FALSE(std::get<3>(miss));
   EXPECT_TRUE(std::get<3>(hit));
