@@ -262,12 +262,13 @@ void run_refiner_case(const LabeledImage3D& img, int threads, CmKind cm,
                       LbKind lb, unsigned seed, CaseResult& res,
                       check::MeshSnapshot* concurrent_out, Aabb* box_out,
                       std::vector<check::OpRecord>* log_out,
-                      double delta = 2.5) {
+                      double delta = 2.5, double lattice_spacing = 0.0) {
   RefinerOptions opt;
   opt.threads = threads;
   opt.cm = cm;
   opt.lb = lb;
   opt.rules.delta = delta;
+  opt.lattice_spacing = lattice_spacing;
   opt.max_vertices = std::size_t{1} << 20;
   opt.max_cells = std::size_t{1} << 22;
   opt.watchdog_sec = 60.0;
@@ -315,8 +316,14 @@ constexpr int kScenarioCount = 8;
 // Scenario 7 runs at a δ small enough for the solid ellipsoid to have a
 // deep-interior band, so the hybrid BCC fill (protected lattice seeds, rule
 // tag 7 in the op log, interface-blocked R2/R4/R5) is exercised under
-// concurrency + replay like every other refiner path.
+// concurrency + replay like every other refiner path. A lattice spacing of
+// δ (half the automatic 2δ) gives about 2.5k interface seeds, enough for
+// the later seeding rounds to split across threads, and the case always
+// runs at kEllipsoidThreads: seeds then commit from several threads, and
+// replaying the log must still reproduce the mesh byte for byte.
 constexpr double kEllipsoidDelta = 0.8;
+constexpr double kEllipsoidSpacing = kEllipsoidDelta;
+constexpr int kEllipsoidThreads = 4;
 
 const char* scenario_name(int s) {
   switch (s) {
@@ -376,7 +383,9 @@ void dump_bundle(const std::string& dir, const CaseResult& res,
 CaseResult run_case(unsigned seed, const std::string& out_dir) {
   const int scenario = static_cast<int>(seed) % kScenarioCount;
   constexpr int kThreadCycle[3] = {1, 2, 4};
-  const int threads = kThreadCycle[(seed / kScenarioCount) % 3];
+  const int threads = scenario == 7
+                          ? kEllipsoidThreads
+                          : kThreadCycle[(seed / kScenarioCount) % 3];
   const CmKind cm = static_cast<CmKind>(seed % 4);
   const LbKind lb = (seed / 2) % 2 == 0 ? LbKind::HWS : LbKind::RWS;
 
@@ -421,7 +430,8 @@ CaseResult run_case(unsigned seed, const std::string& out_dir) {
       break;
     case 7:
       run_refiner_case(phantom::ellipsoid(32), threads, cm, lb, seed, res,
-                       &snap, &used_box, &log, kEllipsoidDelta);
+                       &snap, &used_box, &log, kEllipsoidDelta,
+                       kEllipsoidSpacing);
       break;
   }
 
@@ -495,7 +505,8 @@ bool run_simd_compare_case(unsigned seed) {
         break;
       case 7:
         run_refiner_case(phantom::ellipsoid(32), 1, cm, lb, seed, res,
-                         &snaps[li], nullptr, nullptr, kEllipsoidDelta);
+                         &snaps[li], nullptr, nullptr, kEllipsoidDelta,
+                         kEllipsoidSpacing);
         break;
     }
     if (!res.ok) {

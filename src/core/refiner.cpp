@@ -346,13 +346,14 @@ void Refiner::idle_protocol(int tid) {
   ThreadCtx& ctx = *ctxs_[tid];
   ThreadStats& st = stats_[tid];
 
-  // Never park the system's last runnable thread while others wait in a
-  // contention list: rescue one first (see contention.hpp).
-  cm_->wake_one();
-
   telemetry::Span idle_span("idle", "lb");
   const double t0 = now_sec();
+  // Never park the system's last runnable thread while others wait in a
+  // contention list: rescue one (see contention.hpp). Counting this thread
+  // idle first closes the window in which a thread deciding to block still
+  // sees it active, and blocks after the rescue already found nobody.
   idle_count_.fetch_add(1, std::memory_order_acq_rel);
+  cm_->wake_one();
   lb_->enqueue_beggar(tid);
   std::atomic<bool>& flag = lb_->work_flag(tid);
   // Adaptive idle policy: spin/yield for park_spin_us (work usually arrives
@@ -491,9 +492,10 @@ RefineOutcome Refiner::refine() {
   start_sec_ = now_sec();
 
   // Hybrid interior fill: build the BCC occupancy/templates from the EDT
-  // and seed the interface lattice points into the quiescent mesh before
-  // any worker starts — both phases count toward the refinement wall time
-  // (they replace refinement work, so benches must see their cost).
+  // and seed the interface lattice points into the quiescent mesh (on the
+  // workers' kernel thread ids and scratches) before any worker starts —
+  // both phases count toward the refinement wall time (they replace
+  // refinement work, so benches must see their cost).
   double lattice_fill_sec = 0.0, lattice_seed_sec = 0.0;
   if (opt_.interior == InteriorFill::Lattice) {
     {
@@ -510,7 +512,9 @@ RefineOutcome Refiner::refine() {
     } else {
       PI2M_TRACE_SPAN("phase.lattice_seed", "phase");
       const double t0 = now_sec();
-      lattice_->seed_interface(*mesh_, 0, ctxs_[0]->scratch);
+      std::vector<OpScratch*> scratch;
+      for (auto& c : ctxs_) scratch.push_back(&c->scratch);
+      lattice_->seed_interface(*mesh_, scratch);
       lattice_seed_sec = now_sec() - t0;
       opt_.rules.lattice = lattice_.get();
     }
@@ -565,6 +569,8 @@ RefineOutcome Refiner::refine() {
     out.lattice_seeds = ls.interface_vertices;
     out.lattice_fill_sec = lattice_fill_sec;
     out.lattice_seed_sec = lattice_seed_sec;
+    out.lattice_seed_cells_created = ls.seed_cells_created;
+    out.lattice_seed_conflicts = ls.seed_conflicts;
   }
   out.totals = aggregate(stats_);
   out.timeline = timeline_;

@@ -125,7 +125,9 @@ struct RefineOutcome {
   std::size_t lattice_tets = 0;        ///< template tets the extraction appends
   std::size_t lattice_seeds = 0;       ///< protected interface vertices
   double lattice_fill_sec = 0.0;       ///< occupancy + template instantiation
-  double lattice_seed_sec = 0.0;       ///< sequential interface seeding
+  double lattice_seed_sec = 0.0;       ///< interface seeding
+  std::size_t lattice_seed_cells_created = 0;  ///< kernel cells seeding made
+  std::size_t lattice_seed_conflicts = 0;      ///< seed rollbacks (threads > 1)
 };
 
 class Refiner {

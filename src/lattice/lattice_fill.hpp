@@ -10,13 +10,13 @@
 // costs an append, not a cavity operation.
 //
 // Conformity is by construction, not by stitch repair. The kernel is seeded
-// (pre-refinement, sequentially) with every lattice point on or near the
-// region boundary ∂L. Because the disphenoids ARE the Delaunay cells of the
-// BCC point set, every boundary disphenoid's circumsphere is strictly empty
-// of all other lattice points; the refinement rules are forbidden (via
-// `protects`) from inserting inside the guard zone covering those
-// circumspheres, so the boundary disphenoids are present verbatim in the
-// final kernel triangulation. Delaunay triangulations are face-to-face,
+// (pre-refinement, on the refiner's threads) with every lattice point on or
+// near the region boundary ∂L. Because the disphenoids ARE the Delaunay
+// cells of the BCC point set, every boundary disphenoid's circumsphere is
+// strictly empty of all other lattice points; the refinement rules are
+// forbidden (via `protects`) from inserting inside the guard zone covering
+// those circumspheres, so the boundary disphenoids are present verbatim in
+// the final kernel triangulation. Delaunay triangulations are face-to-face,
 // hence no kernel cell straddles ∂L and the lattice/shell interface is
 // watertight with shared vertex indices.
 //
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,6 +57,11 @@ struct LatticeStats {
   std::size_t tets = 0;            ///< template tets (= 4 * faces)
   std::size_t interface_vertices = 0;  ///< lattice points seeded as protected
   double cube_size = 0.0;          ///< lattice spacing a (world units)
+  /// Interface seeding work (set by seed_interface): kernel cells the seed
+  /// insertions created, and insertions rolled back on a vertex-lock
+  /// conflict with another seeding thread (0 at one thread).
+  std::size_t seed_cells_created = 0;
+  std::size_t seed_conflicts = 0;
 };
 
 /// The BCC lattice fill of one oracle's deep-interior band.
@@ -97,10 +103,22 @@ class LatticeFill {
 
   /// Inserts every interface lattice point (the "wall + rind": any used
   /// point whose cube neighbourhood is not fully deep) into the kernel as a
-  /// protected VertexKind::Lattice vertex. Sequential, in sorted-key order —
-  /// deterministic. Call once, pre-refinement, on the quiescent mesh.
-  /// Returns the number of seeded vertices.
-  std::size_t seed_interface(DelaunayMesh& mesh, int tid, OpScratch& scratch);
+  /// protected VertexKind::Lattice vertex, in seed_order(). Small rounds,
+  /// and every round with one scratch, run on the calling thread in order,
+  /// so one-thread seeding is deterministic. Later rounds are cut into
+  /// contiguous curve pieces that one thread per scratch (kernel lock id =
+  /// scratch index) claims and inserts through the speculative kernel.
+  /// Call once, pre-refinement, on the quiescent mesh. Returns the number
+  /// of seeded vertices.
+  std::size_t seed_interface(DelaunayMesh& mesh,
+                             std::span<OpScratch* const> scratch);
+
+  /// The interface keys in insertion order: a BRIO (biased randomized
+  /// insertion order, Amenta-Choi-Rote) — a fixed-seed shuffle cut into
+  /// rounds that double in size, each round sorted along the Morton curve.
+  /// Each seed then lands next to its predecessor in a mesh that already
+  /// samples its neighbourhood, so cavities stay near the BCC vertex degree.
+  [[nodiscard]] std::vector<std::uint64_t> seed_order() const;
 
   /// Kernel vertex id of a seeded lattice point (kNoVertex when the key was
   /// not part of the seeded interface).
@@ -133,6 +151,7 @@ class LatticeFill {
   void erode_deep(int threads);
   void collect_faces(int threads);
   void collect_seed_keys();
+  void order_seeds();
 
   Vec3 origin_{};   ///< world position of lattice point (0,0,0)
   double a_ = 0.0;  ///< cube size (lattice spacing)
@@ -146,8 +165,13 @@ class LatticeFill {
   std::vector<std::uint8_t> deep_;
   /// Instantiated interior faces, packed (cube_index << 2) | axis.
   std::vector<std::uint64_t> faces_;
-  /// Interface lattice points, sorted by key (deterministic seed order).
+  /// Interface lattice points, sorted by key.
   std::vector<std::uint64_t> seed_keys_;
+  /// Insertion order: indices into seed_keys_ (see seed_order()), and the
+  /// end offset of each BRIO round.
+  std::vector<std::uint32_t> order_;
+  std::vector<std::size_t> round_ends_;
+  /// Kernel vertex per seeded key, built after seeding.
   std::unordered_map<std::uint64_t, VertexId> seeded_;
   LatticeStats stats_;
 };

@@ -19,6 +19,19 @@ bool may_block(const CmContext& ctx, int currently_blocked) {
   return currently_blocked + idle + 1 < ctx.nthreads;
 }
 
+/// Reserves the right to block: increments `blocked` only while may_block
+/// holds for the value being replaced. A plain check followed by a later
+/// increment let every active thread pass the check at once and all of
+/// them block; the CAS re-validates against the idle count on every retry.
+bool reserve_block(const CmContext& ctx, std::atomic<int>& blocked) {
+  int b = blocked.load(std::memory_order_acquire);
+  do {
+    if (!may_block(ctx, b)) return false;
+  } while (!blocked.compare_exchange_weak(b, b + 1, std::memory_order_acq_rel,
+                                          std::memory_order_acquire));
+  return true;
+}
+
 class AggressiveCm final : public ContentionManager {
  public:
   void on_success(int) override {}
@@ -83,14 +96,15 @@ class GlobalCm final : public ContentionManager {
   void on_rollback(int tid, int /*conflicting*/, ThreadStats& stats) override {
     PerThread& me = per_thread_[tid];
     me.successes = 0;
-    if (!may_block(ctx_, blocked_.load(std::memory_order_acquire))) return;
-
-    me.wait.store(true, std::memory_order_release);
     {
+      // Reserve and enqueue under mutex_. A thread going idle counts itself
+      // idle before its wake_one takes mutex_, so either the reservation
+      // sees it idle, or its wake_one finds this thread already queued.
       std::lock_guard<std::mutex> lk(mutex_);
+      if (!reserve_block(ctx_, blocked_)) return;
+      me.wait.store(true, std::memory_order_release);
       queue_.push_back(tid);
     }
-    blocked_.fetch_add(1, std::memory_order_acq_rel);
     telemetry::Span cm_span("cm.wait", "cm");
     const double t0 = now_sec();
     while (me.wait.load(std::memory_order_acquire) &&
@@ -187,7 +201,21 @@ class LocalCm final : public ContentionManager {
       std::lock_guard<std::mutex> lk(other.cl_mutex);
       other.cl.push_back(tid);
     }
-    blocked_.fetch_add(1, std::memory_order_acq_rel);
+    // The check above may have raced with other threads blocking; the
+    // reservation is the decision. It comes after queueing, so a thread
+    // going idle either is seen by the reservation or finds this thread in
+    // its wake_one scan, and blocked_count() never counts a thread a wake
+    // could still miss. A lost reservation withdraws from the list (unless
+    // a waker already took this thread off it and cleared busy_wait).
+    if (!reserve_block(ctx_, blocked_)) {
+      std::lock_guard<std::mutex> lk(other.cl_mutex);
+      const auto it = std::find(other.cl.begin(), other.cl.end(), tid);
+      if (it != other.cl.end()) {
+        other.cl.erase(it);
+        me.busy_wait.store(false, std::memory_order_release);
+      }
+      return;
+    }
     telemetry::Span cm_span("cm.wait", "cm");
     cm_span.set_arg("on", static_cast<std::uint64_t>(conflicting));
     const double t0 = now_sec();

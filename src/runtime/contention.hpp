@@ -59,9 +59,12 @@ class ContentionManager {
   /// block the calling thread; blocked time is charged to stats.
   virtual void on_rollback(int tid, int conflicting, ThreadStats& stats) = 0;
 
-  /// Wakes one blocked thread if any; called by threads about to idle on a
-  /// begging list so system-wide progress can never stall (generalizes the
-  /// paper's active-thread accounting of Global-CM to all schemes).
+  /// Wakes one blocked thread if any; called by a thread that has just
+  /// counted itself idle on a begging list, so system-wide progress can
+  /// never stall (generalizes the paper's active-thread accounting of
+  /// Global-CM to all schemes). Counting itself first matters: a thread
+  /// that reserves its block afterwards then sees it idle, and one that
+  /// queued before is found by this wake.
   virtual void wake_one() {}
 
   /// Wakes everyone (termination / livelock abort).

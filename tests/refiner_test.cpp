@@ -215,6 +215,25 @@ TEST(RefinerParallelLarge, EightThreadsAbdominalPhantom) {
   EXPECT_GT(out.totals.total_steals(), 0u);
 }
 
+TEST(RefinerSoak, GlobalCmNeverWedgesAtFourThreads) {
+  // Global-CM once let every active thread pass its may-block check at
+  // once, and a thread going idle could miss one that queued just after
+  // its rescue: 4 of 12 such runs sat until the watchdog. A wedge shows as
+  // `livelocked` (no operation for watchdog_sec), so every run must finish.
+  // Too slow for the TSan time budget, hence outside the sanitize label.
+  const LabeledImage3D img = phantom::abdominal(96, 96, 96);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    RefinerOptions opt = base_options(1.0, 4);
+    opt.cm = CmKind::Global;
+    opt.rng_seed = seed;
+    opt.watchdog_sec = 20.0;
+    Refiner refiner(img, opt);
+    const RefineOutcome out = refiner.refine();
+    EXPECT_FALSE(out.livelocked) << "run " << seed;
+    EXPECT_TRUE(out.completed) << "run " << seed;
+  }
+}
+
 TEST(MeshImage, PublicApiEndToEnd) {
   const LabeledImage3D img = phantom::ball(20, 0.7);
   MeshingOptions opt;

@@ -179,6 +179,12 @@ def throughput_section(manifest_path):
             str(int(metrics.get("lattice.interface_vertices", 0))))
         rows["lattice fill"] = f"{metrics.get('lattice.fill_sec', 0.0):.3f} s"
         rows["lattice seed"] = f"{metrics.get('lattice.seed_sec', 0.0):.3f} s"
+        seeds = int(metrics.get("lattice.interface_vertices", 0))
+        created = int(metrics.get("lattice.seed_cells_created", 0))
+        rows["lattice seed cells created"] = (
+            f"{created} ({created / seeds:.1f}/seed)" if seeds else str(created))
+        rows["lattice seed conflicts"] = (
+            str(int(metrics.get("lattice.seed_conflicts", 0))))
     elif "interior" in man.get("config", {}):
         rows["interior mode"] = (
             f"{man['config']['interior']} (no lattice band engaged)")
