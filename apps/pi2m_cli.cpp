@@ -72,10 +72,7 @@ void usage() {
       "  --json-report FILE      write a versioned JSON run manifest (config,\n"
       "                          phase timings, all metrics)\n"
       "  --metrics               print every collected metric, one\n"
-      "                          'name value' per line\n"
-      "\n"
-      "environment:\n"
-      "  PI2M_SIMD=scalar|avx2   force the predicate-filter dispatch level\n");
+      "                          'name value' per line\n");
 }
 
 struct Args {

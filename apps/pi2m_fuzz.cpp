@@ -22,10 +22,6 @@
 //   pi2m_fuzz --corpus N [--start S] [--out DIR]   run seeds S..S+N-1
 //   pi2m_fuzz --seed S [--out DIR]                 run one seed
 //   pi2m_fuzz --replay DIR                         replay a dumped bundle
-//   pi2m_fuzz --simd-compare N [--start S]         run seeds S..S+N-1 twice
-//                                                  (scalar vs SIMD dispatch,
-//                                                  single-threaded) and demand
-//                                                  byte-identical snapshots
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -45,7 +41,6 @@
 #include "core/refiner.hpp"
 #include "delaunay/operations.hpp"
 #include "imaging/phantom.hpp"
-#include "support/simd.hpp"
 #include "telemetry/run_manifest.hpp"
 
 namespace pi2m {
@@ -149,8 +144,7 @@ std::vector<Vec3> points_grid(std::mt19937_64& rng, const Aabb& box,
 /// speculative inserts (bounded retry on Conflict/Stale) and each worker
 /// removing a fraction of its own successfully inserted vertices.
 void run_kernel_case(const Aabb& box, const std::vector<Vec3>& pts,
-                     int threads, unsigned seed, CaseResult& res,
-                     check::MeshSnapshot* snap_out = nullptr) {
+                     int threads, unsigned seed, CaseResult& res) {
   DelaunayMesh mesh(box, std::size_t{1} << 18, std::size_t{1} << 21);
   check::begin();
   std::vector<std::thread> pool;
@@ -201,7 +195,6 @@ void run_kernel_case(const Aabb& box, const std::vector<Vec3>& pts,
   if (!rep.ok) {
     for (const std::string& e : rep.errors) res.fail("audit: " + e);
   }
-  if (snap_out) *snap_out = check::snapshot_mesh(mesh);
 
 #if PI2M_OPLOG_ENABLED
   const check::MeshSnapshot concurrent = check::snapshot_mesh(mesh);
@@ -449,94 +442,6 @@ CaseResult run_case(unsigned seed, const std::string& out_dir) {
   return res;
 }
 
-/// Runs one seed's scenario twice, single-threaded — once with the scalar
-/// predicate dispatch forced, once with the SIMD dispatch (clamped to what
-/// build + hardware support) — and demands byte-identical canonical
-/// snapshots. Single-threaded runs of a fixed seed are deterministic, so any
-/// divergence is a rounding/classification difference introduced by the
-/// vector filters: exactly the bug class the batched predicates must not
-/// have.
-bool run_simd_compare_case(unsigned seed) {
-  const int scenario = static_cast<int>(seed) % kScenarioCount;
-  const CmKind cm = static_cast<CmKind>(seed % 4);
-  const LbKind lb = (seed / 2) % 2 == 0 ? LbKind::HWS : LbKind::RWS;
-  const Aabb box{{0, 0, 0}, {32, 32, 32}};
-
-  const simd::Level levels[2] = {simd::Level::kScalar, simd::Level::kAvx2};
-  check::MeshSnapshot snaps[2];
-  bool case_ok = true;
-  std::string level_names;
-  for (int li = 0; li < 2; ++li) {
-    simd::force_simd_level(levels[li]);
-    level_names += std::string(li ? " vs " : "") +
-                   simd::level_name(simd::active_level());
-    CaseResult res;
-    res.name = std::string("simd-") + simd::level_name(simd::active_level());
-    // Identical RNG state per run: both levels see the same point batches.
-    std::mt19937_64 rng(seed);
-    switch (scenario) {
-      case 0:
-        run_kernel_case(box, points_random(rng, box, 3000), 1, seed, res,
-                        &snaps[li]);
-        break;
-      case 1:
-        run_kernel_case(box, points_cospherical(rng, box, 2000), 1, seed, res,
-                        &snaps[li]);
-        break;
-      case 2:
-        run_kernel_case(box, points_grid(rng, box, 1728), 1, seed, res,
-                        &snaps[li]);
-        break;
-      case 3:
-        run_refiner_case(phantom_thin_shell(24), 1, cm, lb, seed, res,
-                         &snaps[li], nullptr, nullptr);
-        break;
-      case 4:
-        run_refiner_case(phantom_touching(24), 1, cm, lb, seed, res,
-                         &snaps[li], nullptr, nullptr);
-        break;
-      case 5:
-        run_refiner_case(phantom_empty_label(24), 1, cm, lb, seed, res,
-                         &snaps[li], nullptr, nullptr);
-        break;
-      case 6:
-        run_refiner_case(phantom::random_blobs(24, seed), 1, cm, lb, seed,
-                         res, &snaps[li], nullptr, nullptr);
-        break;
-      case 7:
-        run_refiner_case(phantom::ellipsoid(32), 1, cm, lb, seed, res,
-                         &snaps[li], nullptr, nullptr, kEllipsoidDelta,
-                         kEllipsoidSpacing);
-        break;
-    }
-    if (!res.ok) {
-      case_ok = false;
-      for (const std::string& e : res.errors) {
-        std::fprintf(stderr, "  [%s] %s\n", res.name.c_str(), e.c_str());
-      }
-    }
-  }
-  simd::clear_simd_override();
-
-  const bool identical = snaps[0] == snaps[1];
-  if (!identical) case_ok = false;
-  std::printf("%-40s %s  (%s, hash %llu vs %llu)\n",
-              (std::string(scenario_name(scenario)) + "-seed" +
-               std::to_string(seed))
-                  .c_str(),
-              case_ok ? "ok" : "FAIL", level_names.c_str(),
-              static_cast<unsigned long long>(check::snapshot_hash(snaps[0])),
-              static_cast<unsigned long long>(check::snapshot_hash(snaps[1])));
-  if (!identical) {
-    std::fprintf(stderr,
-                 "  snapshot divergence between dispatch levels "
-                 "(%zu vertices / %zu cells vs %zu / %zu)\n",
-                 snaps[0].vertices.size(), snaps[0].cells.size(),
-                 snaps[1].vertices.size(), snaps[1].cells.size());
-  }
-  return case_ok;
-}
-
 int replay_bundle(const std::string& dir) {
   Aabb box;
   if (!load_box(dir + "/box.txt", box)) {
@@ -590,7 +495,7 @@ int replay_bundle(const std::string& dir) {
 int main(int argc, char** argv) {
   using namespace pi2m;
 
-  unsigned corpus = 0, start = 0, simd_compare = 0;
+  unsigned corpus = 0, start = 0;
   bool single = false;
   unsigned seed = 0;
   std::string out_dir = "fuzz-out";
@@ -616,15 +521,12 @@ int main(int argc, char** argv) {
       out_dir = next();
     } else if (a == "--replay") {
       replay_dir = next();
-    } else if (a == "--simd-compare") {
-      simd_compare = static_cast<unsigned>(std::stoul(next()));
     } else if (a == "--help" || a == "-h") {
       std::printf(
           "usage:\n"
           "  pi2m_fuzz --corpus N [--start S] [--out DIR]\n"
           "  pi2m_fuzz --seed S [--out DIR]\n"
-          "  pi2m_fuzz --replay BUNDLE_DIR\n"
-          "  pi2m_fuzz --simd-compare N [--start S]\n");
+          "  pi2m_fuzz --replay BUNDLE_DIR\n");
       return 0;
     } else {
       std::fprintf(stderr, "unknown argument '%s'\n", a.c_str());
@@ -633,16 +535,6 @@ int main(int argc, char** argv) {
   }
 
   if (!replay_dir.empty()) return replay_bundle(replay_dir);
-
-  if (simd_compare > 0) {
-    unsigned failures = 0;
-    for (unsigned s = start; s < start + simd_compare; ++s) {
-      if (!run_simd_compare_case(s)) ++failures;
-    }
-    std::printf("%u/%u simd-compare cases passed\n", simd_compare - failures,
-                simd_compare);
-    return failures == 0 ? 0 : 1;
-  }
 
 #if !PI2M_OPLOG_ENABLED
   std::printf("note: built with PI2M_OPLOG=OFF — replay comparison disabled, "

@@ -21,7 +21,6 @@
 #include "imaging/isosurface.hpp"
 #include "imaging/phantom.hpp"
 #include "predicates/predicates.hpp"
-#include "predicates/predicates_simd.hpp"
 #include "runtime/mpsc_inbox.hpp"
 #include "runtime/topology.hpp"
 #include "runtime/workstealing.hpp"
@@ -80,75 +79,6 @@ void BM_Orient3dStageD(benchmark::State& state) {
 }
 BENCHMARK(BM_Orient3dStageD);
 
-// Batch pool for the filter-hit-path benches. Small enough that the pool
-// stays L1-resident (16 * 768 B / 16 * 960 B), mirroring the scalar bench
-// whose point pool is likewise resident: both then measure the predicate
-// evaluation itself, not memory traffic.
-constexpr std::size_t kBatchPoolMask = 16 - 1;
-
-/// Batched stage-A filter throughput on the filter-hit path: pre-marshalled
-/// batches of `lanes` random candidates evaluated in rotation. Per-candidate
-/// cost = reported time / lanes; compare against BM_Orient3dFiltered (one
-/// resident candidate per iteration) for the filter-hit-path speedup.
-void orient3d_batch_bench(benchmark::State& state, int lanes) {
-  const auto pts = random_points(kPredPoolMask + 1, 1);
-  std::vector<Orient3dBatch> pool(kBatchPoolMask + 1);
-  std::size_t j = 0;
-  for (Orient3dBatch& b : pool) {
-    for (int k = 0; k < lanes; ++k, ++j) {
-      b.set_lane(k, pts[j & kPredPoolMask], pts[(j + 1) & kPredPoolMask],
-                 pts[(j + 2) & kPredPoolMask], pts[(j + 3) & kPredPoolMask]);
-    }
-  }
-  int signs[Orient3dBatch::kMaxLanes];
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        orient3d_batch(pool[i & kBatchPoolMask], lanes, signs));
-    benchmark::DoNotOptimize(signs[0]);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-/// Marshal-inclusive variant: fills the batch lane by lane inside the timed
-/// loop, as the cavity-BFS and walk consumers do. The gap against the
-/// pooled bench is the SoA transpose cost (scalar stores immediately
-/// re-read as vector loads -> store-forward stalls), reported separately
-/// so it is not mistaken for filter cost.
-void orient3d_batch_marshal_bench(benchmark::State& state, int lanes) {
-  const auto pts = random_points(kPredPoolMask + 1, 1);
-  std::size_t i = 0;
-  int signs[Orient3dBatch::kMaxLanes];
-  for (auto _ : state) {
-    Orient3dBatch b;
-    for (int k = 0; k < lanes; ++k) {
-      const std::size_t j = i + static_cast<std::size_t>(k);
-      b.set_lane(k, pts[j & kPredPoolMask], pts[(j + 1) & kPredPoolMask],
-                 pts[(j + 2) & kPredPoolMask], pts[(j + 3) & kPredPoolMask]);
-    }
-    benchmark::DoNotOptimize(orient3d_batch(b, lanes, signs));
-    benchmark::DoNotOptimize(signs[0]);
-    i += static_cast<std::size_t>(lanes);
-  }
-  state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-void BM_Orient3dBatch4(benchmark::State& state) {
-  orient3d_batch_bench(state, 4);
-}
-BENCHMARK(BM_Orient3dBatch4);
-
-void BM_Orient3dBatch8(benchmark::State& state) {
-  orient3d_batch_bench(state, 8);
-}
-BENCHMARK(BM_Orient3dBatch8);
-
-void BM_Orient3dBatch8Marshal(benchmark::State& state) {
-  orient3d_batch_marshal_bench(state, 8);
-}
-BENCHMARK(BM_Orient3dBatch8Marshal);
-
 void BM_InsphereFiltered(benchmark::State& state) {
   const auto pts = random_points(kPredPoolMask + 1, 2);
   std::size_t i = 0;
@@ -161,62 +91,6 @@ void BM_InsphereFiltered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InsphereFiltered);
-
-void insphere_batch_bench(benchmark::State& state, int lanes) {
-  const auto pts = random_points(kPredPoolMask + 1, 2);
-  std::vector<InsphereBatch> pool(kBatchPoolMask + 1);
-  std::size_t j = 0;
-  for (InsphereBatch& b : pool) {
-    for (int k = 0; k < lanes; ++k, ++j) {
-      b.set_lane(k, pts[j & kPredPoolMask], pts[(j + 1) & kPredPoolMask],
-                 pts[(j + 2) & kPredPoolMask], pts[(j + 3) & kPredPoolMask],
-                 pts[(j + 4) & kPredPoolMask]);
-    }
-  }
-  int signs[InsphereBatch::kMaxLanes];
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        insphere_batch(pool[i & kBatchPoolMask], lanes, signs));
-    benchmark::DoNotOptimize(signs[0]);
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-void insphere_batch_marshal_bench(benchmark::State& state, int lanes) {
-  const auto pts = random_points(kPredPoolMask + 1, 2);
-  std::size_t i = 0;
-  int signs[InsphereBatch::kMaxLanes];
-  for (auto _ : state) {
-    InsphereBatch b;
-    for (int k = 0; k < lanes; ++k) {
-      const std::size_t j = i + static_cast<std::size_t>(k);
-      b.set_lane(k, pts[j & kPredPoolMask], pts[(j + 1) & kPredPoolMask],
-                 pts[(j + 2) & kPredPoolMask], pts[(j + 3) & kPredPoolMask],
-                 pts[(j + 4) & kPredPoolMask]);
-    }
-    benchmark::DoNotOptimize(insphere_batch(b, lanes, signs));
-    benchmark::DoNotOptimize(signs[0]);
-    i += static_cast<std::size_t>(lanes);
-  }
-  state.SetItemsProcessed(state.iterations() * lanes);
-}
-
-void BM_InsphereBatch4(benchmark::State& state) {
-  insphere_batch_bench(state, 4);
-}
-BENCHMARK(BM_InsphereBatch4);
-
-void BM_InsphereBatch8(benchmark::State& state) {
-  insphere_batch_bench(state, 8);
-}
-BENCHMARK(BM_InsphereBatch8);
-
-void BM_InsphereBatch8Marshal(benchmark::State& state) {
-  insphere_batch_marshal_bench(state, 8);
-}
-BENCHMARK(BM_InsphereBatch8Marshal);
 
 void BM_InsphereExactPath(benchmark::State& state) {
   // Cospherical cube corners defeat the stage-A filter every call; the
@@ -237,7 +111,7 @@ void BM_InsphereStageD(benchmark::State& state) {
 }
 BENCHMARK(BM_InsphereStageD);
 
-/// Shared triangulation for the locate-walk benches: 8k random points so
+/// Triangulation for the locate-walk bench: 8k random points so
 /// walks are long enough for the cell-header cache misses to dominate.
 struct LocateScenario {
   DelaunayMesh mesh{{{0, 0, 0}, {1, 1, 1}}, 1u << 16, 1u << 19};
@@ -259,42 +133,17 @@ LocateScenario& locate_scenario() {
   return s;
 }
 
-void BM_LocateWalkScalar(benchmark::State& state) {
-  // One walk at a time: every step's cell-header load is a serialized miss.
+void BM_LocateWalk(benchmark::State& state) {
   LocateScenario& s = locate_scenario();
   std::size_t i = 0;
   for (auto _ : state) {
-    for (int k = 0; k < kMaxLocateBatch; ++k) {
-      benchmark::DoNotOptimize(
-          locate_point(s.mesh, s.queries[(i + k) % s.queries.size()], s.hint));
-    }
-    i += kMaxLocateBatch;
-  }
-  state.SetItemsProcessed(state.iterations() * kMaxLocateBatch);
-}
-BENCHMARK(BM_LocateWalkScalar);
-
-void BM_LocateWalkBatched(benchmark::State& state) {
-  // Four independent walks in lockstep with a prefetch round per step, so
-  // the misses of independent walks overlap (software pipelining).
-  LocateScenario& s = locate_scenario();
-  Vec3 pts[kMaxLocateBatch];
-  CellId hints[kMaxLocateBatch];
-  LocateResult out[kMaxLocateBatch];
-  std::size_t i = 0;
-  for (auto _ : state) {
-    for (int k = 0; k < kMaxLocateBatch; ++k) {
-      pts[k] = s.queries[(i + k) % s.queries.size()];
-      hints[k] = s.hint;
-    }
     benchmark::DoNotOptimize(
-        locate_points(s.mesh, pts, kMaxLocateBatch, hints, out));
-    benchmark::DoNotOptimize(out[0].cell);
-    i += kMaxLocateBatch;
+        locate_point(s.mesh, s.queries[i % s.queries.size()], s.hint));
+    ++i;
   }
-  state.SetItemsProcessed(state.iterations() * kMaxLocateBatch);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_LocateWalkBatched);
+BENCHMARK(BM_LocateWalk);
 
 void BM_EdtConstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

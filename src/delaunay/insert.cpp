@@ -1,7 +1,6 @@
 #include "check/oplog.hpp"
 #include "delaunay/operations.hpp"
 #include "predicates/predicates.hpp"
-#include "predicates/predicates_simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pi2m {
@@ -67,40 +66,24 @@ OpResult grow_and_commit(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
   s.cavity.push_back(c0);
   mesh.cell(c0).mark.store(in_cavity, std::memory_order_relaxed);
   s.bfs.push_back(c0);
-  // Per popped cell the four faces are classified in order, the (distinct —
-  // two tetrahedra share at most one face) unmarked neighbours are locked in
-  // face order, then ALL their insphere filters run as one predicate batch,
-  // and results are applied in face order again. The stamp/push/bface
-  // sequences are exactly those of the historical one-face-at-a-time loop
-  // (including the lock set held when a try-lock fails), so rollback and
-  // commit behaviour are unchanged — only the filter arithmetic is wider.
-  enum class FaceClass : std::uint8_t { Hull, InCavity, Outside, NeedTest };
   while (!s.bfs.empty()) {
     const CellId c = s.bfs.back();
     s.bfs.pop_back();
     const Cell& cl = mesh.cell(c);
-
-    FaceClass fclass[4];
-    CellId fnb[4];
-    int lane_of[4];
-    InsphereBatch batch;
-    int lanes = 0;
     for (int i = 0; i < 4; ++i) {
       const CellId nb = cl.n[i].load(std::memory_order_acquire);
-      fnb[i] = nb;
-      lane_of[i] = -1;
+      const VertexId fa = cl.v[kFaceOf[i][0]];
+      const VertexId fb = cl.v[kFaceOf[i][1]];
+      const VertexId fc = cl.v[kFaceOf[i][2]];
       if (nb == kNoCell) {
-        fclass[i] = FaceClass::Hull;
+        s.bfaces.push_back({c, i, kNoCell, -1, fa, fb, fc});
         continue;
       }
       const std::uint64_t nb_mark =
           mesh.cell(nb).mark.load(std::memory_order_relaxed);
-      if (nb_mark == in_cavity) {
-        fclass[i] = FaceClass::InCavity;
-        continue;
-      }
+      if (nb_mark == in_cavity) continue;
       if (nb_mark == is_outside) {
-        fclass[i] = FaceClass::Outside;
+        s.bfaces.push_back({c, i, nb, mirror_face(mesh, nb, c), fa, fb, fc});
         continue;
       }
       std::int32_t held_by = -1;
@@ -115,68 +98,25 @@ OpResult grow_and_commit(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
       }
       PI2M_CHECK(mesh.cell_alive(nb),
                  "neighbour of a locked cell died (locking protocol bug)");
-      fclass[i] = FaceClass::NeedTest;
-      const auto pos = mesh.positions(nb);
-      batch.set_lane(lanes, pos[0], pos[1], pos[2], pos[3], p);
-      lane_of[i] = lanes++;
-    }
-
-    int signs[4];
-    if (lanes > 0) insphere_batch(batch, lanes, signs);
-
-    for (int i = 0; i < 4; ++i) {
-      const CellId nb = fnb[i];
-      const VertexId fa = cl.v[kFaceOf[i][0]];
-      const VertexId fb = cl.v[kFaceOf[i][1]];
-      const VertexId fc = cl.v[kFaceOf[i][2]];
-      switch (fclass[i]) {
-        case FaceClass::Hull:
-          s.bfaces.push_back({c, i, kNoCell, -1, fa, fb, fc});
-          break;
-        case FaceClass::InCavity:
-          break;
-        case FaceClass::Outside:
-          s.bfaces.push_back({c, i, nb, mirror_face(mesh, nb, c), fa, fb, fc});
-          break;
-        case FaceClass::NeedTest:
-          if (signs[lane_of[i]] > 0) {
-            s.cavity.push_back(nb);
-            mesh.cell(nb).mark.store(in_cavity, std::memory_order_relaxed);
-            s.bfs.push_back(nb);
-          } else {
-            mesh.cell(nb).mark.store(is_outside, std::memory_order_relaxed);
-            s.bfaces.push_back(
-                {c, i, nb, mirror_face(mesh, nb, c), fa, fb, fc});
-          }
-          break;
+      if (insphere_cell(mesh, nb, p) > 0) {
+        s.cavity.push_back(nb);
+        mesh.cell(nb).mark.store(in_cavity, std::memory_order_relaxed);
+        s.bfs.push_back(nb);
+      } else {
+        mesh.cell(nb).mark.store(is_outside, std::memory_order_relaxed);
+        s.bfaces.push_back({c, i, nb, mirror_face(mesh, nb, c), fa, fb, fc});
       }
     }
   }
 
   // Validate: every new tetrahedron must be positively oriented, i.e. the
-  // cavity is star-shaped around p. Batched 8 boundary faces per filter
-  // pass; any non-positive lane fails the whole operation, as before.
-  {
-    const std::size_t nbf = s.bfaces.size();
-    for (std::size_t base = 0; base < nbf;
-         base += Orient3dBatch::kMaxLanes) {
-      Orient3dBatch vb;
-      const int vn = static_cast<int>(
-          std::min<std::size_t>(Orient3dBatch::kMaxLanes, nbf - base));
-      for (int k = 0; k < vn; ++k) {
-        const OpScratch::BFace& bf = s.bfaces[base + k];
-        vb.set_lane(k, mesh.position(bf.a), mesh.position(bf.b),
-                    mesh.position(bf.c), p);
-      }
-      int vsigns[Orient3dBatch::kMaxLanes];
-      orient3d_batch(vb, vn, vsigns);
-      for (int k = 0; k < vn; ++k) {
-        if (vsigns[k] <= 0) {
-          unlock_all(mesh, tid, s);
-          res.status = OpStatus::Failed;  // p degenerate against boundary
-          return res;
-        }
-      }
+  // cavity is star-shaped around p.
+  for (const OpScratch::BFace& bf : s.bfaces) {
+    if (orient3d(mesh.position(bf.a), mesh.position(bf.b),
+                 mesh.position(bf.c), p) <= 0) {
+      unlock_all(mesh, tid, s);
+      res.status = OpStatus::Failed;  // p degenerate against boundary
+      return res;
     }
   }
 
@@ -281,18 +221,13 @@ OpResult insert_point(DelaunayMesh& mesh, const Vec3& p, VertexKind kind,
       start = any_alive_cell(mesh, loc.cell);
       continue;
     }
-    // Containment re-check under locks (the unlocked walk is best-effort):
-    // all four face orientations in one predicate batch.
+    // Containment re-check under locks (the unlocked walk is best-effort).
     const auto pos = mesh.positions(loc.cell);
-    Orient3dBatch cb;
-    for (int i = 0; i < 4; ++i) {
-      cb.set_lane(i, pos[kFaceOf[i][0]], pos[kFaceOf[i][1]],
-                  pos[kFaceOf[i][2]], p);
+    bool inside_cell = true;
+    for (int i = 0; i < 4 && inside_cell; ++i) {
+      inside_cell = orient3d(pos[kFaceOf[i][0]], pos[kFaceOf[i][1]],
+                             pos[kFaceOf[i][2]], p) >= 0;
     }
-    int csigns[4];
-    orient3d_batch(cb, 4, csigns);
-    const bool inside_cell =
-        csigns[0] >= 0 && csigns[1] >= 0 && csigns[2] >= 0 && csigns[3] >= 0;
     if (!inside_cell) {
       // The best-effort walk stopped one or more cells short (concurrent
       // restructuring): resume from where it stopped so retries make

@@ -27,7 +27,6 @@ DelaunayMesh::DelaunayMesh(const Aabb& box, std::size_t max_vertices,
                            bool pooled_arena)
     : box_(box),
       vertices_(max_vertices, pooled_arena),
-      coords_(max_vertices),
       cells_(max_cells, pooled_arena),
       arena_block_(std::clamp<std::uint32_t>(
           arena_block, 1, ChunkedStore<Cell>::kChunkSize)) {
@@ -41,7 +40,6 @@ VertexId DelaunayMesh::create_vertex(const Vec3& pos, VertexKind kind,
   const VertexId id = vertices_.allocate();
   Vertex& v = vertices_[id];
   v.pos = pos;
-  coords_.set(id, pos);  // mirror write precedes the owner release-store
   v.kind = kind;
   v.timestamp = next_timestamp_.fetch_add(1, std::memory_order_relaxed);
   v.dead.store(false, std::memory_order_relaxed);
@@ -62,7 +60,6 @@ VertexId DelaunayMesh::create_vertex(const Vec3& pos, VertexKind kind, int tid,
   const VertexId id = blk.next++;
   Vertex& v = vertices_[id];
   v.pos = pos;
-  coords_.set(id, pos);  // mirror write precedes the owner release-store
   v.kind = kind;
   v.timestamp = next_timestamp_.fetch_add(1, std::memory_order_relaxed);
   v.dead.store(false, std::memory_order_relaxed);
@@ -136,7 +133,7 @@ std::array<Vec3, 4> DelaunayMesh::positions(CellId c) const {
   for (int i = 0; i < 4; ++i) {
     const VertexId vi = std::atomic_ref(const_cast<VertexId&>(cl.v[i]))
                             .load(std::memory_order_acquire);
-    out[static_cast<std::size_t>(i)] = coords_.get(vi);
+    out[static_cast<std::size_t>(i)] = vertices_[vi].pos;
   }
   return out;
 }
@@ -230,17 +227,6 @@ std::string DelaunayMesh::check_integrity(bool check_delaunay) const {
   std::ostringstream err;
   std::vector<CellId> alive;
   for_each_alive_cell([&](CellId c) { alive.push_back(c); });
-
-  // The SoA coordinate mirror must agree bit-for-bit with the vertex
-  // records for every published vertex.
-  for (VertexId v = 0; v < vertices_.size(); ++v) {
-    if (vertices_[v].dead.load()) continue;
-    const Vec3 m = coords_.get(v);
-    const Vec3& p = vertices_[v].pos;
-    if (m.x != p.x || m.y != p.y || m.z != p.z) {
-      err << "SoA coordinate mirror incoherent for vertex " << v << "\n";
-    }
-  }
 
   for (CellId c : alive) {
     const Cell& cl = cells_[c];

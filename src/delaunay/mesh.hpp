@@ -36,7 +36,6 @@
 #include "geometry/vec3.hpp"
 #include "support/arena_pool.hpp"
 #include "support/common.hpp"
-#include "support/soa_store.hpp"
 
 namespace pi2m {
 
@@ -237,10 +236,9 @@ class DelaunayMesh {
   // ---- vertices ----
   Vertex& vertex(VertexId v) { return vertices_[v]; }
   [[nodiscard]] const Vertex& vertex(VertexId v) const { return vertices_[v]; }
-  /// Position read from the SoA coordinate mirror: equal to vertex(v).pos
-  /// for every published vertex, but served from cache lines that carry no
-  /// lock traffic (see soa_store.hpp). Preferred on the geometric hot paths.
-  [[nodiscard]] Vec3 position(VertexId v) const { return coords_.get(v); }
+  [[nodiscard]] const Vec3& position(VertexId v) const {
+    return vertices_[v].pos;
+  }
   [[nodiscard]] std::uint32_t vertex_count() const { return vertices_.size(); }
   [[nodiscard]] const std::array<VertexId, 8>& box_vertices() const {
     return box_vertices_;
@@ -317,7 +315,6 @@ class DelaunayMesh {
 
   Aabb box_;
   ChunkedStore<Vertex> vertices_;
-  SoaCoordStore coords_;
   ChunkedStore<Cell> cells_;
   std::array<VertexId, 8> box_vertices_{};
   std::atomic<std::uint32_t> next_timestamp_{0};

@@ -5,7 +5,6 @@
 
 #include "support/common.hpp"
 #include "support/parallel_for.hpp"
-#include "support/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pi2m {
@@ -113,33 +112,14 @@ FeatureTransform FeatureTransform::compute(const LabeledImage3D& img,
   parallel_blocks(static_cast<std::size_t>(nx) * nz, threads,
                   [&](std::size_t b, std::size_t e) {
     std::vector<double> cost(static_cast<std::size_t>(ny));
-    std::vector<double> flane(static_cast<std::size_t>(ny));
     std::vector<int> argmin, v_buf;
     std::vector<double> z_buf;
     std::vector<std::int16_t> fx_new(static_cast<std::size_t>(ny));
     for (std::size_t col = b; col < e; ++col) {
       const int x = static_cast<int>(col % nx);
       const int z = static_cast<int>(col / nx);
-      // The strided gather stays scalar; the distance arithmetic below runs
-      // in fixed 4-lane blocks (vector compare + blend). Per-lane operation
-      // order matches the historical scalar loop, so costs are bit-identical.
       for (int y = 0; y < ny; ++y) {
-        flane[static_cast<std::size_t>(y)] =
-            static_cast<double>(ft.fx_[idx(x, y, z)]);
-      }
-      const simd::DVec4 xd = simd::DVec4::splat(static_cast<double>(x));
-      const simd::DVec4 spx = simd::DVec4::splat(sp.x);
-      const simd::DVec4 inf = simd::DVec4::splat(kInf);
-      int y = 0;
-      for (; y + 4 <= ny; y += 4) {
-        const simd::DVec4 f =
-            simd::DVec4::load(&flane[static_cast<std::size_t>(y)]);
-        const simd::DVec4 dx = (xd - f) * spx;
-        simd::DVec4::select_nonneg(f, dx * dx, inf)
-            .store(&cost[static_cast<std::size_t>(y)]);
-      }
-      for (; y < ny; ++y) {
-        const double f = flane[static_cast<std::size_t>(y)];
+        const double f = static_cast<double>(ft.fx_[idx(x, y, z)]);
         const double dx = (static_cast<double>(x) - f) * sp.x;
         cost[static_cast<std::size_t>(y)] = f >= 0.0 ? dx * dx : kInf;
       }
@@ -165,8 +145,6 @@ FeatureTransform FeatureTransform::compute(const LabeledImage3D& img,
   parallel_blocks(static_cast<std::size_t>(nx) * ny, threads,
                   [&](std::size_t b, std::size_t e) {
     std::vector<double> cost(static_cast<std::size_t>(nz));
-    std::vector<double> fxlane(static_cast<std::size_t>(nz));
-    std::vector<double> fylane(static_cast<std::size_t>(nz));
     std::vector<int> argmin, v_buf;
     std::vector<double> z_buf;
     std::vector<std::int16_t> fx_new(static_cast<std::size_t>(nz));
@@ -174,35 +152,9 @@ FeatureTransform FeatureTransform::compute(const LabeledImage3D& img,
     for (std::size_t col = b; col < e; ++col) {
       const int x = static_cast<int>(col % nx);
       const int y = static_cast<int>(col / nx);
-      // Same scheme as pass 2: scalar strided gather, 4-lane vectorized
-      // distance arithmetic with bit-identical per-lane operation order.
       for (int z = 0; z < nz; ++z) {
-        fxlane[static_cast<std::size_t>(z)] =
-            static_cast<double>(ft.fx_[idx(x, y, z)]);
-        fylane[static_cast<std::size_t>(z)] =
-            static_cast<double>(ft.fy_[idx(x, y, z)]);
-      }
-      const simd::DVec4 xd = simd::DVec4::splat(static_cast<double>(x));
-      const simd::DVec4 yd = simd::DVec4::splat(static_cast<double>(y));
-      const simd::DVec4 spx = simd::DVec4::splat(sp.x);
-      const simd::DVec4 spy = simd::DVec4::splat(sp.y);
-      const simd::DVec4 inf = simd::DVec4::splat(kInf);
-      int z = 0;
-      for (; z + 4 <= nz; z += 4) {
-        const simd::DVec4 fx =
-            simd::DVec4::load(&fxlane[static_cast<std::size_t>(z)]);
-        const simd::DVec4 fy =
-            simd::DVec4::load(&fylane[static_cast<std::size_t>(z)]);
-        const simd::DVec4 dx = (xd - fx) * spx;
-        const simd::DVec4 dy = (yd - fy) * spy;
-        const simd::DVec4 d2 = dx * dx + dy * dy;
-        simd::DVec4::select_nonneg(
-            fx, simd::DVec4::select_nonneg(fy, d2, inf), inf)
-            .store(&cost[static_cast<std::size_t>(z)]);
-      }
-      for (; z < nz; ++z) {
-        const double fx = fxlane[static_cast<std::size_t>(z)];
-        const double fy = fylane[static_cast<std::size_t>(z)];
+        const double fx = static_cast<double>(ft.fx_[idx(x, y, z)]);
+        const double fy = static_cast<double>(ft.fy_[idx(x, y, z)]);
         if (fx >= 0.0 && fy >= 0.0) {
           const double dx = (static_cast<double>(x) - fx) * sp.x;
           const double dy = (static_cast<double>(y) - fy) * sp.y;

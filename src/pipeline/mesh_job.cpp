@@ -11,7 +11,6 @@
 #include "io/mesh_serialize.hpp"
 #include "io/writers.hpp"
 #include "predicates/predicates.hpp"
-#include "predicates/predicates_simd.hpp"
 #include "telemetry/collectors.hpp"
 
 namespace pi2m {
@@ -35,18 +34,6 @@ PredicateCounters counters_delta(const PredicateCounters& a,
   d.insphere_calls = b.insphere_calls - a.insphere_calls;
   d.insphere_adapt = b.insphere_adapt - a.insphere_adapt;
   d.insphere_exact = b.insphere_exact - a.insphere_exact;
-  return d;
-}
-
-SimdPredicateCounters simd_counters_delta(const SimdPredicateCounters& a,
-                                          const SimdPredicateCounters& b) {
-  SimdPredicateCounters d;
-  d.orient3d_batches = b.orient3d_batches - a.orient3d_batches;
-  d.orient3d_lanes = b.orient3d_lanes - a.orient3d_lanes;
-  d.orient3d_fallback = b.orient3d_fallback - a.orient3d_fallback;
-  d.insphere_batches = b.insphere_batches - a.insphere_batches;
-  d.insphere_lanes = b.insphere_lanes - a.insphere_lanes;
-  d.insphere_fallback = b.insphere_fallback - a.insphere_fallback;
   return d;
 }
 
@@ -176,7 +163,6 @@ const JobArtifacts& MeshJob::run() {
   }
 
   const PredicateCounters pred0 = predicate_counters();
-  const SimdPredicateCounters spred0 = simd_predicate_counters();
   MeshingResult res = mesh_image(*art_.image_view, opt, warm);
   art_.outcome = res.outcome;
   art_.mesh = std::move(res.mesh);
@@ -224,9 +210,6 @@ const JobArtifacts& MeshJob::run() {
   telemetry::collect_outcome(art_.metrics, art_.outcome);
   telemetry::collect_predicates(
       art_.metrics, counters_delta(pred0, predicate_counters()));
-  telemetry::collect_simd_predicates(
-      art_.metrics,
-      simd_counters_delta(spred0, simd_predicate_counters()));
   telemetry::collect_mesh(art_.metrics, art_.mesh);
   telemetry::collect_throughput(art_.metrics, art_.mesh,
                                 art_.outcome.lattice_tets,

@@ -5,20 +5,24 @@
 #include <cstdint>
 
 #include "predicates/expansion.hpp"
-#include "predicates/filter_bounds.hpp"
 
 namespace pi2m {
 namespace {
 
-// Filter constants shared with the batched SIMD stage-A path
-// (predicates_simd.cpp); see filter_bounds.hpp for provenance.
-using filter_bounds::kIspErrBoundA;
-using filter_bounds::kIspErrBoundB;
-using filter_bounds::kIspErrBoundC;
-using filter_bounds::kO3dErrBoundA;
-using filter_bounds::kO3dErrBoundB;
-using filter_bounds::kO3dErrBoundC;
-using filter_bounds::kResultErrBound;
+// Static-filter error bounds, Shewchuk's ("Adaptive Precision Floating-Point
+// Arithmetic and Fast Robust Geometric Predicates", 1997, §4.3 orient3d,
+// §4.4 insphere). Stage A bounds the straightforward double evaluation
+// including the initial coordinate translations; stage B bounds the
+// evaluation whose initial translations are taken as exact (tails dropped);
+// stage C additionally accounts for the translation tails to first order.
+constexpr double kEps = 1.1102230246251565e-16;  // 2^-53, round-to-nearest
+constexpr double kResultErrBound = (3.0 + 8.0 * kEps) * kEps;
+constexpr double kO3dErrBoundA = (7.0 + 56.0 * kEps) * kEps;
+constexpr double kO3dErrBoundB = (3.0 + 28.0 * kEps) * kEps;
+constexpr double kO3dErrBoundC = (26.0 + 288.0 * kEps) * kEps * kEps;
+constexpr double kIspErrBoundA = (16.0 + 224.0 * kEps) * kEps;
+constexpr double kIspErrBoundB = (5.0 + 72.0 * kEps) * kEps;
+constexpr double kIspErrBoundC = (71.0 + 1408.0 * kEps) * kEps * kEps;
 
 // ---------------------------------------------------------------------------
 // Contention-free call counters.

@@ -1,96 +1,18 @@
-// Batched stage-A predicate filters with SIMD dispatch.
-//
-// orient3d_batch / insphere_batch evaluate up to 8 independent candidate
-// simplices at once: the static forward-error filter (Shewchuk stage A,
-// bounds shared with the scalar path via filter_bounds.hpp) runs 4 lanes
-// per instruction on AVX2 hardware, and every lane the filter cannot
-// certify falls through to the scalar adaptive/exact ladder in
-// predicates.cpp. The returned signs are therefore always FINAL —
-// bitwise-identical to calling the scalar orient3d/insphere per lane —
-// regardless of the dispatch level; only the speed differs.
-//
-// The filter arithmetic uses separate mul/add (no FMA contraction) so the
-// vector stage A computes exactly the same det/permanent doubles as the
-// -ffp-contract=off scalar stage A: SIMD and scalar certify the identical
-// lane set, keeping fallback counters comparable across dispatch levels.
-//
-// Batches are SoA so callers gather straight into lanes (from the arena's
-// SoA coordinate mirror or from Vec3s) and the kernels load aligned
-// vectors without transposing.
+// Stub that exists only because e2ebench/ still reads these (all-zero)
+// counters; it goes when e2ebench stops naming them.
 #pragma once
-
-#include "geometry/vec3.hpp"
 
 namespace pi2m {
 
-/// SoA batch of up to 8 orient3d(a,b,c,d) queries.
-struct alignas(32) Orient3dBatch {
-  static constexpr int kMaxLanes = 8;
-  double ax[kMaxLanes], ay[kMaxLanes], az[kMaxLanes];
-  double bx[kMaxLanes], by[kMaxLanes], bz[kMaxLanes];
-  double cx[kMaxLanes], cy[kMaxLanes], cz[kMaxLanes];
-  double dx[kMaxLanes], dy[kMaxLanes], dz[kMaxLanes];
-
-  void set_lane(int i, const Vec3& a, const Vec3& b, const Vec3& c,
-                const Vec3& d) {
-    ax[i] = a.x; ay[i] = a.y; az[i] = a.z;
-    bx[i] = b.x; by[i] = b.y; bz[i] = b.z;
-    cx[i] = c.x; cy[i] = c.y; cz[i] = c.z;
-    dx[i] = d.x; dy[i] = d.y; dz[i] = d.z;
-  }
-  [[nodiscard]] Vec3 a_of(int i) const { return {ax[i], ay[i], az[i]}; }
-  [[nodiscard]] Vec3 b_of(int i) const { return {bx[i], by[i], bz[i]}; }
-  [[nodiscard]] Vec3 c_of(int i) const { return {cx[i], cy[i], cz[i]}; }
-  [[nodiscard]] Vec3 d_of(int i) const { return {dx[i], dy[i], dz[i]}; }
-};
-
-/// SoA batch of up to 8 insphere(a,b,c,d,e) queries.
-struct alignas(32) InsphereBatch {
-  static constexpr int kMaxLanes = 8;
-  double ax[kMaxLanes], ay[kMaxLanes], az[kMaxLanes];
-  double bx[kMaxLanes], by[kMaxLanes], bz[kMaxLanes];
-  double cx[kMaxLanes], cy[kMaxLanes], cz[kMaxLanes];
-  double dx[kMaxLanes], dy[kMaxLanes], dz[kMaxLanes];
-  double ex[kMaxLanes], ey[kMaxLanes], ez[kMaxLanes];
-
-  void set_lane(int i, const Vec3& a, const Vec3& b, const Vec3& c,
-                const Vec3& d, const Vec3& e) {
-    ax[i] = a.x; ay[i] = a.y; az[i] = a.z;
-    bx[i] = b.x; by[i] = b.y; bz[i] = b.z;
-    cx[i] = c.x; cy[i] = c.y; cz[i] = c.z;
-    dx[i] = d.x; dy[i] = d.y; dz[i] = d.z;
-    ex[i] = e.x; ey[i] = e.y; ez[i] = e.z;
-  }
-  [[nodiscard]] Vec3 a_of(int i) const { return {ax[i], ay[i], az[i]}; }
-  [[nodiscard]] Vec3 b_of(int i) const { return {bx[i], by[i], bz[i]}; }
-  [[nodiscard]] Vec3 c_of(int i) const { return {cx[i], cy[i], cz[i]}; }
-  [[nodiscard]] Vec3 d_of(int i) const { return {dx[i], dy[i], dz[i]}; }
-  [[nodiscard]] Vec3 e_of(int i) const { return {ex[i], ey[i], ez[i]}; }
-};
-
-/// Evaluates lanes [0, n) of the batch (1 <= n <= kMaxLanes). signs[i]
-/// receives the final sign (-1/0/+1), identical to the scalar predicate.
-/// Returns the number of lanes the vectorized stage-A filter could not
-/// certify (those were resolved through the scalar adaptive/exact ladder);
-/// useful for adaptivity decisions and asserted by the parity tests.
-int orient3d_batch(const Orient3dBatch& b, int n, int* signs);
-int insphere_batch(const InsphereBatch& b, int n, int* signs);
-
-/// Batched-path effectiveness counters (padded per-thread slots, summed on
-/// read; reporting only — same contract as PredicateCounters):
-///   *_batches    orient3d_batch/insphere_batch invocations;
-///   *_lanes      total lanes evaluated across those batches;
-///   *_fallback   lanes the vector filter could not certify (each also shows
-///                up as one scalar *_calls bump while being resolved).
 struct SimdPredicateCounters {
-  unsigned long long orient3d_batches;
-  unsigned long long orient3d_lanes;
-  unsigned long long orient3d_fallback;
-  unsigned long long insphere_batches;
-  unsigned long long insphere_lanes;
-  unsigned long long insphere_fallback;
+  unsigned long long orient3d_lanes = 0, orient3d_fallback = 0;
+  unsigned long long insphere_lanes = 0, insphere_fallback = 0;
 };
-SimdPredicateCounters simd_predicate_counters();
-void reset_simd_predicate_counters();
+inline SimdPredicateCounters simd_predicate_counters() { return {}; }
+
+namespace telemetry {
+template <typename Registry>
+void collect_simd_predicates(Registry&, const SimdPredicateCounters&) {}
+}  // namespace telemetry
 
 }  // namespace pi2m

@@ -5,8 +5,8 @@
 // binaries, tests) already links the libraries whose structs it collects.
 //
 // Naming convention: "<area>.<metric>", lowercase, stable across PRs — the
-// manifest consumers (BENCH_*.json trajectory, tools/trace_summary.py)
-// treat these names as schema.
+// manifest consumers (the e2ebench/ harness declared by BENCHMARK.json,
+// tools/trace_summary.py) treat these names as schema.
 #pragma once
 
 #include "core/pi2m.hpp"
@@ -15,7 +15,6 @@
 #include "metrics/hausdorff.hpp"
 #include "metrics/quality.hpp"
 #include "predicates/predicates.hpp"
-#include "predicates/predicates_simd.hpp"
 #include "runtime/stats.hpp"
 #include "telemetry/metrics_registry.hpp"
 
@@ -88,24 +87,6 @@ inline void collect_predicates(MetricsRegistry& r,
   r.set("predicates.insphere_calls", c.insphere_calls);
   r.set("predicates.insphere_adapt", c.insphere_adapt);
   r.set("predicates.insphere_exact", c.insphere_exact);
-}
-
-inline void collect_simd_predicates(MetricsRegistry& r,
-                                    const SimdPredicateCounters& c) {
-  r.set("predicates.simd.orient3d_batches", c.orient3d_batches);
-  r.set("predicates.simd.orient3d_lanes", c.orient3d_lanes);
-  r.set("predicates.simd.orient3d_fallback", c.orient3d_fallback);
-  r.set("predicates.simd.insphere_batches", c.insphere_batches);
-  r.set("predicates.simd.insphere_lanes", c.insphere_lanes);
-  r.set("predicates.simd.insphere_fallback", c.insphere_fallback);
-  const double lanes =
-      static_cast<double>(c.orient3d_lanes + c.insphere_lanes);
-  const double fallback =
-      static_cast<double>(c.orient3d_fallback + c.insphere_fallback);
-  // Fraction of batched lanes the vector filter could NOT certify (they
-  // fell back to the scalar adaptive/exact ladder). 0 = every lane was
-  // sign-certified by the SIMD stage-A filter.
-  r.set("predicates.simd.fallback_rate", lanes > 0.0 ? fallback / lanes : 0.0);
 }
 
 inline void collect_mesh(MetricsRegistry& r, const TetMesh& m) {

@@ -5,9 +5,9 @@
 // mirror of the command line), where the time went (ordered phase
 // timings), and every metric the run produced (a MetricsRegistry
 // snapshot). This is the single producer format behind `pi2m
-// --json-report`, the bench binaries' manifest output, and the
-// BENCH_*.json trajectory entries — consumers parse one schema instead of
-// per-binary hand-written JSON.
+// --json-report`, the bench binaries' manifest output, and the per-job
+// metrics of the e2ebench/ harness (BENCHMARK.json) — consumers parse one
+// schema instead of per-binary hand-written JSON.
 //
 // Schema (version 1):
 //   {

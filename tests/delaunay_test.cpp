@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <random>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "delaunay/local_dt.hpp"
 #include "delaunay/mesh.hpp"
@@ -462,6 +464,66 @@ TEST(ConcurrentMixed, InsertAndRemoveRace) {
       << tally.summary();
   EXPECT_EQ(mesh.check_integrity(true), "");
   EXPECT_NEAR(mesh.total_volume(), 1.0, 1e-9);
+}
+
+/// Insert/remove churn by `writer_threads` writers while one reader runs
+/// lock-free locate walks, whose position reads race with create_vertex on
+/// other threads (the sanitize label runs this under TSan); then a full
+/// integrity check, Delaunay property included.
+void churn_with_concurrent_reader(int writer_threads) {
+  DelaunayMesh mesh(unit_box(), 1 << 16, 1 << 19);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> inserts{0};
+
+  std::vector<std::thread> pool;
+  for (int t = 0; t < writer_threads; ++t) {
+    pool.emplace_back([&, t] {
+      OpScratch s;
+      std::mt19937 rng(9000 + t);
+      std::uniform_real_distribution<double> u(0.02, 0.98);
+      std::vector<VertexId> mine;
+      CellId hint = 0;
+      for (int i = 0; i < 400; ++i) {
+        if (!mine.empty() && i % 4 == 3) {
+          if (remove_vertex(mesh, mine.back(), t, s).status ==
+              OpStatus::Success) {
+            mine.pop_back();
+          }
+        } else {
+          const OpResult r = insert_point(mesh, {u(rng), u(rng), u(rng)},
+                                          VertexKind::Circumcenter, hint, t, s);
+          if (r.status == OpStatus::Success) {
+            mine.push_back(r.new_vertex);
+            inserts.fetch_add(1, std::memory_order_relaxed);
+            hint = s.created.front();
+          }
+        }
+      }
+    });
+  }
+  std::thread reader([&] {
+    std::mt19937 rng(777);
+    std::uniform_real_distribution<double> u(0.02, 0.98);
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)locate_point(mesh, {u(rng), u(rng), u(rng)}, 0);
+    }
+  });
+  for (auto& th : pool) th.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(inserts.load(), 0u);
+  EXPECT_EQ(mesh.check_integrity(/*check_delaunay=*/true), "");
+}
+
+TEST(ConcurrentReader, LocateDuringOneWriterChurn) {
+  churn_with_concurrent_reader(1);
+}
+TEST(ConcurrentReader, LocateDuringTwoWriterChurn) {
+  churn_with_concurrent_reader(2);
+}
+TEST(ConcurrentReader, LocateDuringFourWriterChurn) {
+  churn_with_concurrent_reader(4);
 }
 
 }  // namespace

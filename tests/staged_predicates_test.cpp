@@ -9,6 +9,7 @@
 // agreement with orient3d_exact / insphere_exact on every call.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -155,6 +156,78 @@ TEST(StagedInsphere, RandomNearCosphericalAgreesWithExact) {
     ++checked;
   }
   EXPECT_GE(checked, 500);
+}
+
+// Adversarial corpora: random tuples plus the families that defeat (or
+// barely pass) the stage-A filter — near-degenerate apexes down to 1e-300
+// and DBL_MIN, exactly cospherical cube corners, huge/tiny scales and mixed
+// magnitudes within one tuple. Scales stay inside the envelope documented
+// in predicates.hpp (|x| <= 1e100 for orient3d, <= 1e60 for insphere).
+TEST(StagedOrient3d, AdversarialCorpusAgreesWithExact) {
+  std::mt19937 rng(42);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const auto rnd = [&] { return Vec3{u(rng), u(rng), u(rng)}; };
+  int n = 0;
+  const auto check = [&n](const Vec3& a, const Vec3& b, const Vec3& c,
+                          const Vec3& d) {
+    EXPECT_EQ(orient3d(a, b, c, d), orient3d_exact(a, b, c, d)) << "case " << n;
+    ++n;
+  };
+  for (int i = 0; i < 256; ++i) check(rnd(), rnd(), rnd(), rnd());
+  // Coplanar base, apex perturbed by ever-smaller amounts (including exactly
+  // zero and sub-errbound offsets the filter cannot certify).
+  for (const double dz :
+       {0.0, 1e-300, -1e-300, DBL_MIN, 1e-18, -1e-18, 1e-12, DBL_EPSILON}) {
+    check({0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0.3, 0.4, dz});
+    check({0.1, 0.2, 0.3}, {1.1, 0.2, 0.3}, {0.1, 1.2, 0.3},
+          {0.5, 0.6, 0.3 + dz});
+  }
+  EXPECT_EQ(orient3d({0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0.3, 0.4, 0}), 0);
+  // The filter's relative error bound must scale with the input, and
+  // underflow must fail the filter rather than mis-certify.
+  for (const double s : {1e50, 1e-50, 1e-120}) {
+    for (int i = 0; i < 16; ++i) {
+      check(s * rnd(), s * rnd(), s * rnd(), s * rnd());
+    }
+    check({0, 0, 0}, {s, 0, 0}, {0, s, 0}, {0.3 * s, 0.4 * s, 0});
+  }
+  for (int i = 0; i < 16; ++i) {
+    check(1e40 * rnd(), rnd(), 1e-40 * rnd(), rnd());
+  }
+}
+
+TEST(StagedInsphere, AdversarialCorpusAgreesWithExact) {
+  std::mt19937 rng(43);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  const auto rnd = [&] { return Vec3{u(rng), u(rng), u(rng)}; };
+  int n = 0;
+  const auto check = [&n](const Vec3& a, const Vec3& b, const Vec3& c,
+                          const Vec3& d, const Vec3& e) {
+    EXPECT_EQ(insphere(a, b, c, d, e), insphere_exact(a, b, c, d, e))
+        << "case " << n;
+    ++n;
+  };
+  for (int i = 0; i < 256; ++i) check(rnd(), rnd(), rnd(), rnd(), rnd());
+  // All eight cube corners lie on one sphere: the determinant is exactly
+  // zero and only the exact ladder can say so.
+  const Vec3 a{0, 0, 0}, b{1, 0, 0}, c{0, 0, 1}, d{0, 1, 0};
+  EXPECT_EQ(insphere(a, b, c, d, {1, 1, 1}), 0);
+  EXPECT_EQ(insphere(a, b, c, d, {1, 1, 0}), 0);
+  // Query point nudged off that sphere by tiny offsets.
+  for (const double dz :
+       {0.0, 1e-300, -1e-300, 1e-18, -1e-18, DBL_EPSILON, -DBL_EPSILON}) {
+    check(a, b, c, d, {1, 1, 1 + dz});
+  }
+  // insphere's determinant is degree 5, so overflow sets in earlier than
+  // orient3d's degree 3.
+  for (const double s : {1e40, 1e-40, 1e60}) {
+    for (int i = 0; i < 16; ++i) {
+      check(s * rnd(), s * rnd(), s * rnd(), s * rnd(), s * rnd());
+    }
+  }
+  for (int i = 0; i < 16; ++i) {
+    check(1e30 * rnd(), rnd(), 1e-30 * rnd(), rnd(), rnd());
+  }
 }
 
 TEST(StagedCounters, AdaptiveStageResolvesMostNearDegenerateCalls) {

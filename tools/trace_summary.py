@@ -9,15 +9,9 @@ Reports, without opening a browser:
   * contention-manager wait time, and the dropped-event counter.
 
 With `--manifest MANIFEST.json` (the `--json-report` output of the same
-run) it additionally reports the SIMD predicate-filter economics: batched
-lanes, the fraction the vector stage-A filter certified directly (hits)
-versus lanes that fell back to the scalar adaptive/exact ladder, per
-predicate kind — alongside the per-phase wall times so the rates can be
-read against the phases that issue the batches (refine dominates; the EDT
-passes use the fixed-lane arithmetic that never falls back) — and the
-element-throughput economics of the hybrid interior fill: elements/s,
-us/element, the interior (BCC template) vs shell (Delaunay) tet split,
-and the lattice fill/seed counters.
+run) it additionally reports the element-throughput economics of the
+hybrid interior fill: elements/s, us/element, the interior (BCC template)
+vs shell (Delaunay) tet split, and the lattice fill/seed counters.
 
 With two trace files, prints the two summaries side by side (e.g. to
 compare contention managers or thread counts on the same input).
@@ -124,37 +118,6 @@ def summarize(doc):
     return s
 
 
-def simd_filter_section(manifest_path):
-    """SIMD filter hit/fallback rates from a pi2m run manifest."""
-    with open(manifest_path) as f:
-        man = json.load(f)
-    metrics = man.get("metrics", {})
-    rows = {}
-
-    def rate_row(kind):
-        lanes = metrics.get(f"predicates.simd.{kind}_lanes", 0)
-        fallback = metrics.get(f"predicates.simd.{kind}_fallback", 0)
-        batches = metrics.get(f"predicates.simd.{kind}_batches", 0)
-        if lanes:
-            hit = 100.0 * (lanes - fallback) / lanes
-            rows[kind] = (f"{int(lanes):>10} lanes in {int(batches)} batches, "
-                          f"{hit:.2f}% filter hits, "
-                          f"{100.0 - hit:.2f}% scalar fallback")
-        else:
-            rows[kind] = "no batched calls"
-
-    rate_row("orient3d")
-    rate_row("insphere")
-    if "predicates.simd.fallback_rate" in metrics:
-        rows["overall fallback"] = (
-            f"{100.0 * metrics['predicates.simd.fallback_rate']:.2f}%")
-    # Phase wall times from the manifest, so the rates above can be read
-    # against the phases that issue the batches.
-    for name, sec in sorted(man.get("phases", {}).items()):
-        rows[f"phase {name}"] = f"{sec:.3f} s"
-    return rows
-
-
 def throughput_section(manifest_path):
     """Element throughput + hybrid interior-fill economics from a manifest."""
     with open(manifest_path) as f:
@@ -226,12 +189,11 @@ def main():
                     help="second trace: print both summaries side by side")
     ap.add_argument("--manifest",
                     help="pi2m run manifest (--json-report) of the same run: "
-                         "adds SIMD filter hit/fallback rates per phase")
+                         "adds the element-throughput economics")
     args = ap.parse_args()
 
     first = summarize(load_trace(args.trace))
     if args.manifest:
-        first["simd predicate filter"] = simd_filter_section(args.manifest)
         first["element throughput"] = throughput_section(args.manifest)
     if args.other is None:
         print_single(first)
